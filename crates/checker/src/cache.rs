@@ -4,10 +4,12 @@
 //! predicate P hold at state s?" for the same handful of predicates (`S`,
 //! `T`, each constraint). A [`Bitset`] evaluates the predicate **once per
 //! state** — in parallel, over word-aligned chunks — and every later pass
-//! answers membership with a single bit test. Compound predicates like
-//! Theorem 3's "T ∧ lower constraints ∧ ¬S" are composed with bitwise
-//! [`and`](Bitset::and)/[`not`](Bitset::not) instead of re-evaluating the
-//! conjuncts.
+//! answers membership with a single bit test.
+//! [`for_predicates`](Bitset::for_predicates) builds several caches from
+//! one pass, decoding each state once for all of them. Compound
+//! predicates like Theorem 3's "T ∧ lower constraints ∧ ¬S" are composed
+//! with bitwise [`and`](Bitset::and)/[`not`](Bitset::not) instead of
+//! re-evaluating the conjuncts.
 
 use nonmask_program::Predicate;
 
@@ -102,29 +104,61 @@ impl Bitset {
         pred: &Predicate,
         opts: CheckOptions,
     ) -> Result<Self, CheckError> {
-        let len = index.len();
+        let mut sets = Self::for_predicates(index, &[pred], opts)?;
+        Ok(sets.pop().expect("one cache per predicate"))
+    }
+
+    /// One cache per predicate of `preds`, in order, from a single pass
+    /// over `index`: each state is decoded once and every predicate is
+    /// evaluated against the same decoded state. Decoding, not predicate
+    /// evaluation, dominates a cache build, so `k` caches cost about one.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckError::WorkerFailed`] if some predicate panics.
+    pub fn for_predicates(
+        index: &SpaceIndex,
+        preds: &[&Predicate],
+        opts: CheckOptions,
+    ) -> Result<Vec<Self>, CheckError> {
+        let (len, k) = (index.len(), preds.len());
+        if k == 0 {
+            return Ok(Vec::new());
+        }
         let word_count = len.div_ceil(64);
         let workers = opts.workers_for(len);
-        let words: Vec<u64> = run_chunks(word_count, workers, |word_range| {
+        // Each chunk returns its words predicate-major: predicate `p`'s
+        // words for the chunk are `words[p * n..(p + 1) * n]`.
+        let chunks: Vec<Vec<u64>> = run_chunks(word_count, workers, |word_range| {
             let mut scratch = index.scratch_state();
-            word_range
-                .map(|wi| {
-                    let mut word = 0u64;
-                    let base = wi * 64;
-                    for bit in 0..64usize.min(len - base.min(len)) {
-                        index.decode_state(StateId::from_index(base + bit), &mut scratch);
+            let n = word_range.len();
+            let mut words = vec![0u64; k * n];
+            for (w, wi) in word_range.enumerate() {
+                let base = wi * 64;
+                for bit in 0..64usize.min(len - base) {
+                    index.decode_state(StateId::from_index(base + bit), &mut scratch);
+                    for (p, pred) in preds.iter().enumerate() {
                         if pred.holds(&scratch) {
-                            word |= 1 << bit;
+                            words[p * n + w] |= 1 << bit;
                         }
                     }
-                    word
-                })
-                .collect::<Vec<u64>>()
-        })?
-        .into_iter()
-        .flatten()
-        .collect();
-        Ok(Bitset { words, len })
+                }
+            }
+            words
+        })?;
+        let mut sets: Vec<Bitset> = (0..k)
+            .map(|_| Bitset {
+                words: Vec::with_capacity(word_count),
+                len,
+            })
+            .collect();
+        for words in &chunks {
+            let n = words.len() / k;
+            for (p, set) in sets.iter_mut().enumerate() {
+                set.words.extend_from_slice(&words[p * n..(p + 1) * n]);
+            }
+        }
+        Ok(sets)
     }
 
     /// Whether state index `i` is in the set.
@@ -280,6 +314,36 @@ mod tests {
                 assert_eq!(b.get(i), i % 3 == 0, "len={len} i={i}");
             }
             assert_eq!(b.count_ones(), (0..len).filter(|i| i % 3 == 0).count());
+        }
+    }
+
+    #[test]
+    fn for_predicates_matches_direct_evaluation_across_chunks() {
+        use nonmask_program::{Domain, Program};
+        let mut b = Program::builder("wide");
+        let x = b.var("x", Domain::range(0, 9999));
+        let y = b.var("y", Domain::Bool);
+        let p = b.build();
+        let index = SpaceIndex::of_program(&p, CheckOptions::default()).unwrap();
+        let preds = [
+            Predicate::new("x%3", [x], move |s| s.get(x) % 3 == 0),
+            Predicate::new("y", [y], move |s| s.get_bool(y)),
+            Predicate::always_false(),
+        ];
+        let refs: Vec<&Predicate> = preds.iter().collect();
+        assert!(Bitset::for_predicates(&index, &[], CheckOptions::serial())
+            .unwrap()
+            .is_empty());
+        for threads in [1, 3, 4] {
+            let opts = CheckOptions::default().threads(threads);
+            let batched = Bitset::for_predicates(&index, &refs, opts).unwrap();
+            for (pred, bits) in preds.iter().zip(&batched) {
+                let direct = Bitset::from_fn(index.len(), opts, |i| {
+                    pred.holds(&index.state(StateId::from_index(i)))
+                })
+                .unwrap();
+                assert_eq!(bits, &direct, "threads={threads} pred={}", pred.name());
+            }
         }
     }
 

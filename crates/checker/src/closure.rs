@@ -10,7 +10,9 @@
 //! are never re-evaluated) and over [`Bitset`] predicate caches (each
 //! predicate is evaluated once per state, in parallel). Multi-threaded runs
 //! report the same first violation as a sequential scan: workers own
-//! contiguous id ranges and the lowest-id witness wins.
+//! contiguous id ranges and the lowest-id witness wins. A
+//! [`ViolationMatrix`] answers every `(action, constraint)` preservation
+//! query under one assumption from a single sweep.
 
 use nonmask_program::{ActionId, Predicate, Program, State};
 
@@ -117,6 +119,100 @@ pub fn preserves_given_bits(
         before: space.state(StateId::from_index(i)),
         after: space.state(succ),
     }))
+}
+
+/// Which `(action, constraint)` pairs break conditional preservation
+/// under one assumption, computed by [`violation_matrix`]: entry
+/// `[a][ci]` is set iff some transition `s -a-> t` with `assuming(s)` has
+/// `c_ci(s) ∧ ¬c_ci(t)`. Rows are multi-word masks, so any number of
+/// constraints fits.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ViolationMatrix {
+    constraints: usize,
+    /// Words per action row: `constraints.div_ceil(64)`.
+    stride: usize,
+    /// Action-major rows of `stride` words each.
+    words: Vec<u64>,
+}
+
+impl ViolationMatrix {
+    /// Does `action` preserve constraint `ci` under the matrix's
+    /// assumption? Equal to
+    /// `preserves_given_bits(space, action, &c_bits[ci], assuming, _)?.is_none()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `action` or `ci` is out of range.
+    pub fn preserves(&self, action: ActionId, ci: usize) -> bool {
+        assert!(ci < self.constraints, "constraint {ci} out of range");
+        self.words[action.index() * self.stride + ci / 64] & (1 << (ci % 64)) == 0
+    }
+}
+
+/// [`preserves_given_bits`] for every `(action, constraint)` pair at once:
+/// one parallel sweep over the `assuming` states of `space` answers every
+/// preservation query under that assumption.
+///
+/// `c_bits` are the constraint caches over exactly this `space`. At each
+/// swept state only the constraints that hold there, and that the row's
+/// action has not yet been seen to break, are tested at the successor.
+/// Per-worker matrices are OR-merged, so the result is the same for every
+/// thread count.
+///
+/// # Errors
+///
+/// [`CheckError::WorkerFailed`] if a worker panics mid-sweep.
+pub fn violation_matrix(
+    space: &StateSpace,
+    program: &Program,
+    c_bits: &[Bitset],
+    assuming: &Bitset,
+    opts: CheckOptions,
+) -> Result<ViolationMatrix, CheckError> {
+    let constraints = c_bits.len();
+    let stride = constraints.div_ceil(64);
+    let size = program.action_count() * stride;
+    let workers = opts.workers_for(space.len());
+    let parts = run_chunks(space.len(), workers, |range| {
+        let mut words = vec![0u64; size];
+        let mut holds = vec![0u64; stride];
+        for i in range {
+            if !assuming.get(i) {
+                continue;
+            }
+            holds.fill(0);
+            for (ci, bits) in c_bits.iter().enumerate() {
+                if bits.get(i) {
+                    holds[ci / 64] |= 1 << (ci % 64);
+                }
+            }
+            for (a, t) in space.successors(StateId::from_index(i)) {
+                let row = &mut words[a.index() * stride..(a.index() + 1) * stride];
+                for (w, (seen, &held)) in row.iter_mut().zip(&holds).enumerate() {
+                    let mut open = held & !*seen;
+                    while open != 0 {
+                        let bit = open.trailing_zeros() as usize;
+                        open &= open - 1;
+                        if !c_bits[w * 64 + bit].contains(t) {
+                            *seen |= 1 << bit;
+                        }
+                    }
+                }
+            }
+        }
+        words
+    })?;
+    let mut words = vec![0u64; size];
+    for part in parts {
+        for (w, p) in words.iter_mut().zip(part) {
+            *w |= p;
+        }
+    }
+    Ok(ViolationMatrix {
+        constraints,
+        stride,
+        words,
+    })
 }
 
 /// Is `pred` closed in `program` (preserved by *every* action)?

@@ -19,10 +19,13 @@ pub struct CheckCounters {
     pub transitions: u64,
     /// Predicate caches ([`Bitset`](crate::Bitset)s) built.
     pub bitset_builds: u64,
-    /// State decodings performed while building predicate caches
-    /// (`bitset_builds × states`).
+    /// State decodings performed while building predicate caches: one
+    /// batched pass decodes each state once for all of them, so this is
+    /// `states` per pass made, not `bitset_builds × states`.
     pub states_decoded: u64,
-    /// CSR rows visited by closure/preservation scans.
+    /// CSR rows covered by the closure, obligation and oracle sweeps
+    /// actually made, `states` per sweep (a sweep that stops at its first
+    /// witness counts in full).
     pub csr_rows_visited: u64,
     /// Region (`T ∧ ¬S`) states examined by convergence passes.
     pub region_states: u64,
@@ -30,16 +33,21 @@ pub struct CheckCounters {
     pub peeled_states: u64,
     /// Strongly connected components Tarjan examined in the residuals.
     pub sccs_found: u64,
-    /// Preservation-memo lookups answered from cache.
+    /// Preservation queries answered from an assumption's existing
+    /// violation-matrix sweep.
     pub cache_hits: u64,
-    /// Preservation-memo lookups that ran a fresh scan.
+    /// Preservation queries that found no sweep for their assumption and
+    /// ran one (so this is also the number of oracle sweeps).
     pub cache_misses: u64,
     /// Segment row-buffers built by out-of-core passes (segmented scans
-    /// and frontier rounds); zero for fully resident runs.
+    /// and frontier rounds that re-derive a segment's rows); zero for
+    /// fully resident runs.
     pub segments_built: u64,
     /// Frontier convergence fixpoint rounds executed.
     pub frontier_rounds: u64,
-    /// Successor evaluations performed by frontier convergence rounds.
+    /// Successor evaluations performed by frontier convergence rounds
+    /// (at most one per transition of the region when its rows stay
+    /// resident across rounds).
     pub frontier_evals: u64,
 }
 

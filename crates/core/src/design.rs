@@ -1,11 +1,11 @@
 //! The design workflow: program + constraints → verified tolerance.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::time::Instant;
 
 use nonmask_checker::{
     bounds, closure, convergence::check_convergence_bits_stats, Bitset, CheckCounters, CheckError,
-    CheckOptions, Fairness, SpaceError, StateSpace, Violation,
+    CheckOptions, Fairness, SpaceError, StateSpace, Violation, ViolationMatrix,
 };
 use nonmask_graph::{ConstraintGraph, ConstraintRef, GraphError, Layering, NodePartition, Shape};
 use nonmask_program::{ActionId, ActionKind, Predicate, Program};
@@ -221,17 +221,18 @@ impl Design {
         let p = &self.program;
         let opts = self.options;
 
-        // Predicate-evaluation caches, shared by every pass below: `S`,
-        // `T`, and each constraint are evaluated exactly once per state
-        // (in parallel), and all later obligations are bit tests.
+        // Predicate-evaluation caches, shared by every pass below: one
+        // parallel pass decodes each state once and evaluates `S`, `T`,
+        // and each constraint on it; all later obligations are bit tests.
         let eval_started = Instant::now();
-        let s_bits = Bitset::for_predicate(space, &s, opts)?;
-        let t_bits = Bitset::for_predicate(space, t, opts)?;
-        let c_bits: Vec<Bitset> = self
-            .constraints
-            .iter()
-            .map(|c| Bitset::for_predicate(space, c.predicate(), opts))
-            .collect::<Result<_, _>>()?;
+        let preds: Vec<&Predicate> = [&s, t]
+            .into_iter()
+            .chain(self.constraints.iter().map(Constraint::predicate))
+            .collect();
+        let mut caches = Bitset::for_predicates(space.index(), &preds, opts)?;
+        let c_bits = caches.split_off(2);
+        let t_bits = caches.pop().expect("T cache");
+        let s_bits = caches.pop().expect("S cache");
         let predicate_eval = eval_started.elapsed();
 
         // --- 1. Closure obligations -----------------------------------
@@ -240,11 +241,13 @@ impl Design {
         let closure_time = closure_started.elapsed();
 
         // --- 2. Theorem side conditions --------------------------------
-        // Memoized conditional-preservation oracle over the bit caches.
-        // `tag` keys the `assuming` set: 0 = T, 1 = S, 2+layer = Theorem
-        // 3's per-layer assumption.
+        // Conditional-preservation oracle over the bit caches. `tag` keys
+        // the `assuming` set: 0 = T, 1 = S, 2+layer = Theorem 3's
+        // per-layer assumption. The first query under a tag sweeps the
+        // space once for every `(action, constraint)` pair; every later
+        // query under it is a bit test.
         let theorem_started = Instant::now();
-        let mut memo: HashMap<(ActionId, usize, u8), bool> = HashMap::new();
+        let mut matrices: HashMap<u8, Option<ViolationMatrix>> = HashMap::new();
         let mut cache_hits: u64 = 0;
         let mut cache_misses: u64 = 0;
         // The graph crate's order-search callbacks return `bool`, so the
@@ -253,24 +256,24 @@ impl Design {
         // theorem selection unwinds.
         let mut oracle_error: Option<CheckError> = None;
         let mut preserves_under = |a: ActionId, ci: usize, assuming: &Bitset, tag: u8| -> bool {
-            match memo.entry((a, ci, tag)) {
-                std::collections::hash_map::Entry::Occupied(e) => {
+            let matrix = match matrices.entry(tag) {
+                Entry::Occupied(e) => {
                     cache_hits += 1;
-                    *e.get()
+                    e.into_mut()
                 }
-                std::collections::hash_map::Entry::Vacant(slot) => {
+                Entry::Vacant(slot) => {
                     cache_misses += 1;
-                    match closure::preserves_given_bits(space, a, &c_bits[ci], assuming, opts) {
-                        Ok(violation) => *slot.insert(violation.is_none()),
-                        Err(e) => {
-                            if oracle_error.is_none() {
-                                oracle_error = Some(e);
-                            }
-                            *slot.insert(false)
-                        }
-                    }
+                    let swept = closure::violation_matrix(space, p, &c_bits, assuming, opts);
+                    slot.insert(
+                        swept
+                            .map_err(|e| {
+                                oracle_error.get_or_insert(e);
+                            })
+                            .ok(),
+                    )
                 }
-            }
+            };
+            matrix.as_ref().is_some_and(|m| m.preserves(a, ci))
         };
 
         let mut reasons: Vec<String> = Vec::new();
@@ -364,19 +367,26 @@ impl Design {
         };
 
         // Work counters: convergence figures are summed over the two
-        // daemon passes; the CSR-row figure counts whole-space scans (one
-        // per distinct preservation query, two closure checks per action,
-        // and the two per-constraint obligation sweeps).
+        // daemon passes. The CSR-row figure counts the whole-space sweeps
+        // made: the closure checks of `S` and `T` (one per action, up to
+        // the first violating one), one oracle sweep per assumption tag,
+        // and the two per-constraint obligation sweeps.
         let states = space.len() as u64;
-        let bitset_builds = 2 + self.constraints.len() as u64;
-        let scan_count =
-            cache_misses + 2 * p.action_count() as u64 + 2 * self.constraints.len() as u64;
+        let closure_sweeps = |v: &Option<Violation>| {
+            v.as_ref()
+                .map_or(p.action_count(), |v| v.action.index() + 1) as u64
+        };
+        let sweeps = closure_sweeps(&closure_report.invariant)
+            + closure_sweeps(&closure_report.fault_span)
+            + cache_misses
+            + 2 * self.constraints.len() as u64;
         let counters = CheckCounters {
             states,
             transitions: space.transition_count() as u64,
-            bitset_builds,
-            states_decoded: bitset_builds * states,
-            csr_rows_visited: scan_count * states,
+            bitset_builds: preds.len() as u64,
+            // One batched pass decodes each state once for every cache.
+            states_decoded: states,
+            csr_rows_visited: sweeps * states,
             region_states: fair_stats.region_states + unfair_stats.region_states,
             peeled_states: fair_stats.peeled_states + unfair_stats.peeled_states,
             sccs_found: fair_stats.sccs_found + unfair_stats.sccs_found,

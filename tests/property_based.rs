@@ -254,6 +254,42 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// One decode pass for many caches: [`Bitset::for_predicates`] equals
+    /// the per-predicate [`Bitset::for_predicate`] caches bit for bit, for
+    /// any random program, predicate mix and thread count.
+    #[test]
+    fn batched_predicate_caches_equal_individual_caches(
+        domains in proptest::collection::vec(domain_strategy(), 1..=4),
+        actions in proptest::collection::vec((0usize..4, 0usize..4, 1i64..=3), 0..=4),
+        preds in proptest::collection::vec((0usize..4, -3i64..=3, 1i64..=3), 0..=6),
+        threads in 1usize..=8,
+    ) {
+        let p = program_with_actions(domains, actions);
+        let space = StateSpace::enumerate(&p).unwrap();
+        let vars: Vec<_> = p.var_ids().collect();
+        let preds: Vec<Predicate> = preds
+            .into_iter()
+            .enumerate()
+            .map(|(k, (v, threshold, modulus))| {
+                let var = vars[v % vars.len()];
+                Predicate::new(format!("q{k}"), vars.clone(), move |s: &State| {
+                    s.get(var) > threshold || s.slots().iter().sum::<i64>() % (modulus + 1) == 0
+                })
+            })
+            .collect();
+        let refs: Vec<&Predicate> = preds.iter().collect();
+        let opts = CheckOptions::default().threads(threads);
+        let batched = Bitset::for_predicates(space.index(), &refs, opts).unwrap();
+        prop_assert_eq!(batched.len(), preds.len());
+        for (pred, bits) in preds.iter().zip(&batched) {
+            prop_assert_eq!(bits, &Bitset::for_predicate(&space, pred, opts).unwrap());
+        }
+    }
+}
+
 /// Serial and multi-threaded checking must be *bit-identical*: the same
 /// verdict, the same witness states, for every protocol and thread count.
 fn assert_parallel_matches_serial(
@@ -391,7 +427,8 @@ proptest! {
     /// The frontier checker is bit-identical across work-stealing thread
     /// counts: same verdict and witness as the resident checker, same
     /// stats, and — with an explicit segment size — the same journal
-    /// event sequence, whether or not the size divides the state count.
+    /// event sequence (so the same segments keep their rows each round),
+    /// whether or not the size divides the state count.
     #[test]
     fn frontier_work_stealing_is_bit_identical(
         threads in 2usize..=8,
@@ -414,23 +451,31 @@ proptest! {
                 let serial_opts = CheckOptions::default()
                     .threads(1)
                     .segment_states(sizes[seg_pick]);
-                let stolen_opts = serial_opts.threads(threads);
                 let (j1, b1) = Journal::memory();
                 let (r1, s1) =
                     check_convergence_frontier_stats(p, &t, goal, fairness, serial_opts, &j1)
                         .unwrap();
-                let (jn, bn) = Journal::memory();
-                let (rn, sn) =
-                    check_convergence_frontier_stats(p, &t, goal, fairness, stolen_opts, &jn)
-                        .unwrap();
                 prop_assert_eq!(&r1, &resident, "serial frontier vs resident ({:?})", fairness);
-                prop_assert_eq!(&rn, &resident, "stolen frontier vs resident ({:?})", fairness);
-                prop_assert_eq!(s1, sn, "stats must not depend on the thread count");
-                prop_assert_eq!(
-                    journal_events(j1, &b1),
-                    journal_events(jn, &bn),
-                    "journals must not depend on the thread count"
-                );
+                let serial_events = journal_events(j1, &b1);
+                for n in [4, 7, threads] {
+                    let (jn, bn) = Journal::memory();
+                    let (rn, sn) = check_convergence_frontier_stats(
+                        p,
+                        &t,
+                        goal,
+                        fairness,
+                        serial_opts.threads(n),
+                        &jn,
+                    )
+                    .unwrap();
+                    prop_assert_eq!(&rn, &resident, "{} threads vs resident ({:?})", n, fairness);
+                    prop_assert_eq!(s1, sn, "stats must not depend on the thread count");
+                    prop_assert_eq!(
+                        &serial_events,
+                        &journal_events(jn, &bn),
+                        "journals must not depend on the thread count"
+                    );
+                }
             }
         }
     }
