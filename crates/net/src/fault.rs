@@ -12,12 +12,9 @@
 //!
 //! The decision core lives in [`Injector`], which is transport-agnostic:
 //! it appends deliver-now wire bytes to a caller-supplied buffer. The
-//! reactor uses it directly (many logical links batching into one shard
-//! stream); [`FaultyLink`] wraps it around a dedicated `TcpStream` for
-//! unit tests and single-link uses.
+//! reactor uses it directly, many logical links batching into one shard
+//! stream.
 
-use std::io::{self, Write};
-use std::net::TcpStream;
 use std::sync::Mutex;
 
 use rand::rngs::StdRng;
@@ -248,66 +245,12 @@ impl Injector {
     }
 }
 
-/// A fault-injecting, send-side view of one directed TCP link: an
-/// [`Injector`] bound to its own `TcpStream`.
-#[derive(Debug)]
-pub struct FaultyLink {
-    stream: TcpStream,
-    injector: Injector,
-}
-
-impl FaultyLink {
-    /// Wrap `stream` as the faulty link `sender → receiver`.
-    pub fn new(stream: TcpStream, sender: usize, receiver: usize, config: FaultConfig) -> Self {
-        FaultyLink {
-            stream,
-            injector: Injector::new(sender, receiver, config),
-        }
-    }
-
-    /// The receiving node's index.
-    pub fn receiver(&self) -> usize {
-        self.injector.receiver()
-    }
-
-    /// Send `frame` through the fault injector at `tick`, updating
-    /// `counters` with whatever happened to it.
-    ///
-    /// # Errors
-    ///
-    /// Socket write errors (an unencodable frame surfaces as
-    /// `InvalidData`).
-    pub fn send(
-        &mut self,
-        frame: &Frame,
-        tick: u64,
-        partition: &PartitionMap,
-        counters: &mut CounterSnapshot,
-    ) -> io::Result<()> {
-        let mut out = Vec::new();
-        self.injector
-            .admit(frame, tick, partition, counters, &mut out)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        self.stream.write_all(&out)
-    }
-
-    /// Write every held-back frame whose due tick has arrived.
-    ///
-    /// # Errors
-    ///
-    /// Socket write errors.
-    pub fn flush_due(&mut self, tick: u64, counters: &mut CounterSnapshot) -> io::Result<()> {
-        let mut out = Vec::new();
-        self.injector.flush_due(tick, counters, &mut out);
-        self.stream.write_all(&out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::wire::read_frame;
-    use std::net::TcpListener;
+    use std::io::Write;
+    use std::net::{TcpListener, TcpStream};
     use std::panic::AssertUnwindSafe;
 
     fn pipe() -> (TcpStream, TcpStream) {
@@ -318,10 +261,27 @@ mod tests {
         (a, b)
     }
 
+    /// Admit `frame` through `injector` and write its deliver-now bytes
+    /// into the loopback stream `tx`.
+    fn send(
+        injector: &mut Injector,
+        tx: &mut TcpStream,
+        frame: &Frame,
+        tick: u64,
+        partition: &PartitionMap,
+        counters: &mut CounterSnapshot,
+    ) {
+        let mut out = Vec::new();
+        injector
+            .admit(frame, tick, partition, counters, &mut out)
+            .unwrap();
+        tx.write_all(&out).unwrap();
+    }
+
     #[test]
     fn faithful_link_delivers_everything() {
-        let (tx, mut rx) = pipe();
-        let mut link = FaultyLink::new(tx, 0, 1, FaultConfig::default());
+        let (mut tx, mut rx) = pipe();
+        let mut link = Injector::new(0, 1, FaultConfig::default());
         let partition = PartitionMap::new();
         let mut counters = CounterSnapshot::default();
         for seq in 0..32u64 {
@@ -331,7 +291,7 @@ mod tests {
                 var: 1,
                 value: seq as i64,
             };
-            link.send(&f, seq, &partition, &mut counters).unwrap();
+            send(&mut link, &mut tx, &f, seq, &partition, &mut counters);
         }
         assert_eq!(counters.sent, 32);
         assert_eq!(counters.dropped + counters.corrupted + counters.delayed, 0);
@@ -346,13 +306,13 @@ mod tests {
     #[test]
     fn drops_are_deterministic_per_seed() {
         let run = |seed: u64| {
-            let (tx, _rx) = pipe();
+            let (mut tx, _rx) = pipe();
             let config = FaultConfig {
                 seed,
                 drop_rate: 0.5,
                 ..FaultConfig::default()
             };
-            let mut link = FaultyLink::new(tx, 2, 3, config);
+            let mut link = Injector::new(2, 3, config);
             let partition = PartitionMap::new();
             let mut counters = CounterSnapshot::default();
             for seq in 0..64u64 {
@@ -362,7 +322,7 @@ mod tests {
                     var: 0,
                     value: 0,
                 };
-                link.send(&f, seq, &partition, &mut counters).unwrap();
+                send(&mut link, &mut tx, &f, seq, &partition, &mut counters);
             }
             counters
         };
@@ -372,49 +332,14 @@ mod tests {
     }
 
     #[test]
-    fn injector_decisions_do_not_depend_on_transport_batching() {
-        // The same frame sequence through a bare Injector (reactor path)
-        // and a FaultyLink (thread path) must produce identical counter
-        // outcomes: fault patterns are a property of the link, not of the
-        // transport that carries the bytes.
-        let config = FaultConfig::hostile(99, 0.3);
-        let frames: Vec<Frame> = (0..128u64)
-            .map(|seq| Frame::Update {
-                node: 5,
-                seq,
-                var: 1,
-                value: seq as i64,
-            })
-            .collect();
-        let partition = PartitionMap::new();
-
-        let mut inj = Injector::new(5, 6, config.clone());
-        let mut batched = Vec::new();
-        let mut inj_counters = CounterSnapshot::default();
-        for (tick, f) in frames.iter().enumerate() {
-            inj.admit(f, tick as u64, &partition, &mut inj_counters, &mut batched)
-                .unwrap();
-        }
-
-        let (tx, _rx) = pipe();
-        let mut link = FaultyLink::new(tx, 5, 6, config);
-        let mut link_counters = CounterSnapshot::default();
-        for (tick, f) in frames.iter().enumerate() {
-            link.send(f, tick as u64, &partition, &mut link_counters)
-                .unwrap();
-        }
-        assert_eq!(inj_counters, link_counters);
-    }
-
-    #[test]
     fn corruption_is_always_rejected_downstream() {
-        let (tx, mut rx) = pipe();
+        let (mut tx, mut rx) = pipe();
         let config = FaultConfig {
             seed: 3,
             corrupt_rate: 1.0,
             ..FaultConfig::default()
         };
-        let mut link = FaultyLink::new(tx, 0, 1, config);
+        let mut link = Injector::new(0, 1, config);
         let partition = PartitionMap::new();
         let mut counters = CounterSnapshot::default();
         for seq in 0..16u64 {
@@ -424,9 +349,9 @@ mod tests {
                 var: 2,
                 value: -1,
             };
-            link.send(&f, seq, &partition, &mut counters).unwrap();
+            send(&mut link, &mut tx, &f, seq, &partition, &mut counters);
         }
-        drop(link);
+        drop(tx);
         assert_eq!(counters.corrupted, 16);
         let mut rejected = 0;
         while let Some(result) = read_frame(&mut rx).unwrap() {
@@ -438,8 +363,8 @@ mod tests {
 
     #[test]
     fn partition_blocks_cross_group_frames() {
-        let (tx, mut rx) = pipe();
-        let mut link = FaultyLink::new(tx, 0, 1, FaultConfig::default());
+        let (mut tx, mut rx) = pipe();
+        let mut link = Injector::new(0, 1, FaultConfig::default());
         let partition = PartitionMap::new();
         partition.set(vec![0, 1]);
         let mut counters = CounterSnapshot::default();
@@ -449,12 +374,12 @@ mod tests {
             var: 0,
             value: 0,
         };
-        link.send(&f, 0, &partition, &mut counters).unwrap();
+        send(&mut link, &mut tx, &f, 0, &partition, &mut counters);
         assert_eq!((counters.sent, counters.dropped), (0, 1));
         partition.heal();
-        link.send(&f, 1, &partition, &mut counters).unwrap();
+        send(&mut link, &mut tx, &f, 1, &partition, &mut counters);
         assert_eq!((counters.sent, counters.dropped), (1, 1));
-        drop(link);
+        drop(tx);
         assert_eq!(read_frame(&mut rx).unwrap().unwrap().unwrap(), f);
         assert!(read_frame(&mut rx).unwrap().is_none());
     }
@@ -488,36 +413,36 @@ mod tests {
 
     #[test]
     fn surviving_links_send_through_a_poisoned_map() {
-        let (tx, mut rx) = pipe();
+        let (mut tx, mut rx) = pipe();
         let map = PartitionMap::new();
         map.set(vec![0, 0]);
         let _ = std::panic::catch_unwind(AssertUnwindSafe(|| {
             let _guard = map.groups.lock().unwrap();
             panic!("boom");
         }));
-        let mut link = FaultyLink::new(tx, 0, 1, FaultConfig::default());
+        let mut link = Injector::new(0, 1, FaultConfig::default());
         let mut counters = CounterSnapshot::default();
         let f = Frame::Heartbeat {
             node: 0,
             seq: 1,
             vars: vec![(0, 7)],
         };
-        link.send(&f, 0, &map, &mut counters).unwrap();
+        send(&mut link, &mut tx, &f, 0, &map, &mut counters);
         assert_eq!(counters.sent, 1);
-        drop(link);
+        drop(tx);
         assert_eq!(read_frame(&mut rx).unwrap().unwrap().unwrap(), f);
     }
 
     #[test]
     fn delayed_frames_reorder_but_arrive() {
-        let (tx, mut rx) = pipe();
+        let (mut tx, mut rx) = pipe();
         let config = FaultConfig {
             seed: 11,
             delay_rate: 0.5,
             max_delay_ticks: 4,
             ..FaultConfig::default()
         };
-        let mut link = FaultyLink::new(tx, 0, 1, config);
+        let mut link = Injector::new(0, 1, config);
         let partition = PartitionMap::new();
         let mut counters = CounterSnapshot::default();
         for seq in 0..64u64 {
@@ -527,11 +452,15 @@ mod tests {
                 var: 0,
                 value: 0,
             };
-            link.send(&f, seq, &partition, &mut counters).unwrap();
-            link.flush_due(seq, &mut counters).unwrap();
+            send(&mut link, &mut tx, &f, seq, &partition, &mut counters);
+            let mut due = Vec::new();
+            link.flush_due(seq, &mut counters, &mut due);
+            tx.write_all(&due).unwrap();
         }
-        link.flush_due(u64::MAX, &mut counters).unwrap();
-        drop(link);
+        let mut due = Vec::new();
+        link.flush_due(u64::MAX, &mut counters, &mut due);
+        tx.write_all(&due).unwrap();
+        drop(tx);
         assert!(counters.delayed > 0);
         assert_eq!(counters.sent, 64, "every frame eventually flushed");
         let mut seqs = Vec::new();

@@ -20,13 +20,13 @@
 //!   processes wake at random times and messages carry random latencies,
 //!   so nothing is synchronized — the harshest deterministic schedule
 //!   model here.
-//! - [`threaded`] — an actually-concurrent executor (one OS thread per
-//!   process, a lock per variable) for wall-clock sanity experiments.
 //!
 //! The `nonmask-net` crate takes the same [`Refinement`] one step
-//! further: nodes as OS threads whose *only* channel is a TCP loopback
-//! socket, with fault-injecting transport and runtime stabilization
-//! detection — the refinement over a real network stack.
+//! further: concurrent nodes whose *only* channel is a TCP loopback
+//! socket, each acting on its own possibly-stale local view (the
+//! low-atomicity refinement of §8), with fault-injecting transport and
+//! runtime stabilization detection — the refinement over a real network
+//! stack.
 //!
 //! The engine never consults global state to *execute* — only to *measure*
 //! (stabilization detection uses the god's-eye [`Simulation::ground_truth`]
@@ -63,7 +63,6 @@
 pub mod engine;
 pub mod events;
 pub mod refine;
-pub mod threaded;
 
 pub use engine::{SimConfig, SimReport, Simulation};
 pub use events::{EventConfig, EventReport, EventSim};

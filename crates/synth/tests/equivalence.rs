@@ -211,16 +211,42 @@ fn token_ring_render_matches_the_committed_golden() {
     );
 }
 
-#[test]
-fn pruning_saves_at_least_10x_oracle_calls_on_the_token_ring() {
-    let out = synth(&specs::token_ring_windowed(4, 3));
-    let m = out.metrics;
-    assert!(m.candidates >= 400, "grammar too small: {}", m.candidates);
+/// The attribution prune saves at least 10x full-space certification
+/// sweeps over unpruned enumeration.
+fn assert_prune_saves_10x(out: &SynthResult) {
+    let m = &out.metrics;
     assert!(
-        m.oracle_calls * 10 <= m.oracle_calls_unpruned,
+        m.oracle_calls.max(1) * 10 <= m.oracle_calls_unpruned,
         "prune saves only {}x ({} vs {})",
-        m.oracle_calls_unpruned as f64 / m.oracle_calls as f64,
+        m.oracle_calls_unpruned as f64 / m.oracle_calls.max(1) as f64,
         m.oracle_calls,
         m.oracle_calls_unpruned
     );
+}
+
+#[test]
+fn pruning_saves_at_least_10x_oracle_calls_on_the_token_ring() {
+    let out = synth(&specs::token_ring_windowed(4, 3));
+    assert!(
+        out.metrics.candidates >= 400,
+        "grammar too small: {}",
+        out.metrics.candidates
+    );
+    assert_prune_saves_10x(&out);
+}
+
+/// The weekly tier: on a larger ring the prune still saves at least 10×
+/// certification sweeps, and both larger instances synthesize tolerant
+/// designs at ideal distance 0.
+#[test]
+#[ignore = "weekly tier: larger synthesis instances; run with --release --ignored"]
+fn weekly_larger_instances_keep_the_prune_saving_at_distance_0() {
+    let ring = synth(&specs::token_ring_windowed(5, 4));
+    assert!(ring.report.is_tolerant());
+    assert_eq!(ring.distance, 0);
+    assert_prune_saves_10x(&ring);
+
+    let coloring = synth(&specs::coloring(9, 3));
+    assert!(coloring.report.is_tolerant());
+    assert_eq!(coloring.distance, 0);
 }

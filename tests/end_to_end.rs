@@ -1,14 +1,14 @@
 //! End-to-end integration across all crates: design → verify → execute →
-//! inject faults → refine to message passing → run on threads.
+//! inject faults → refine to message passing → run as socket nodes.
 
 use nonmask_checker::{worst_case_moves, StateSpace};
+use nonmask_net::NetConfig;
 use nonmask_program::fault::BurstCorruption;
 use nonmask_program::scheduler::{Adversarial, Random, RoundRobin};
 use nonmask_program::{Executor, Predicate, RunConfig, StopReason, TransientCorruption};
 use nonmask_protocols::diffusing::DiffusingComputation;
 use nonmask_protocols::token_ring::TokenRing;
 use nonmask_protocols::Tree;
-use nonmask_sim::threaded::run_threaded_until;
 use nonmask_sim::{Refinement, SimConfig, Simulation};
 
 /// The full lifecycle on one protocol: verification, fault-free closure,
@@ -52,7 +52,7 @@ fn diffusing_lifecycle() {
     let refinement = Refinement::new(dc.program()).unwrap();
     let mut sim = Simulation::new(
         dc.program(),
-        refinement.clone(),
+        refinement,
         dc.initial_state(),
         SimConfig {
             seed: 1,
@@ -65,16 +65,17 @@ fn diffusing_lifecycle() {
     let sim_report = sim.run_until_stable(&s, 5);
     assert!(sim_report.stabilized_at_round.is_some());
 
-    // 5. Real threads observe S on a consistent snapshot.
-    let threaded = run_threaded_until(
-        dc.program(),
-        &refinement,
-        &dc.initial_state(),
-        50_000_000,
-        Some(&s),
-    );
-    assert!(threaded.stopped_on_predicate);
-    assert!(s.holds(&threaded.final_state));
+    // 5. Concurrent socket nodes, each acting on its own local view (the
+    // low-atomicity refinement), recover from the same corruption.
+    let mut corrupt = dc.initial_state();
+    for j in [3usize, 5] {
+        corrupt.set(dc.color_var(j), nonmask_protocols::diffusing::RED);
+        corrupt.set(dc.session_var(j), 1);
+    }
+    assert!(!s.holds(&corrupt));
+    let net = nonmask_net::run(dc.program(), &corrupt, &s, &NetConfig::default()).unwrap();
+    assert!(net.converged, "{}", net.render());
+    assert!(s.holds(&net.final_state));
 }
 
 /// The adversarial scheduler cannot defeat the token ring (it converges
