@@ -1,7 +1,7 @@
 //! Cross-layer conformance corpus: divergences between the executable
 //! layers and the checker (E16).
 
-use nonmask_conform::{default_specs, run_corpus, CorpusConfig};
+use nonmask_conform::{corpus, run_corpus, CorpusConfig};
 use nonmask_obs::Journal;
 
 use crate::table::Table;
@@ -31,7 +31,7 @@ pub fn e16() -> String {
         ],
     );
 
-    let specs = default_specs();
+    let specs = corpus();
     // Base seed 1 matches the CLI default, so this table reproduces the
     // CI smoke gate bit for bit.
     let report = run_corpus(&specs, &CorpusConfig::smoke(1), &Journal::disabled())
@@ -92,8 +92,7 @@ mod tests {
             net_runs: 0,
             sim_only: true,
         };
-        let report =
-            run_corpus(&default_specs(), &config, &Journal::disabled()).expect("infrastructure");
+        let report = run_corpus(&corpus(), &config, &Journal::disabled()).expect("infrastructure");
         assert_eq!(report.divergent_runs(), 0, "{}", report.render());
     }
 }

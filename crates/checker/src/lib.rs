@@ -149,7 +149,7 @@ pub use options::{
     DEFAULT_SEGMENT_STATES,
 };
 pub use oracle::{attribute_constraints, ConstraintAttribution, StepFault, StepOracle};
-pub use replay::{replay_constraints, ConstraintTransition};
+pub use replay::{repair_path, replay_constraints, ConstraintTransition};
 pub use segment::{Segment, SegmentedSpace};
 pub use space::{
     SpaceError, SpaceIndex, StateId, StateSpace, Transitions, TransitionsIter, DEFAULT_STATE_LIMIT,

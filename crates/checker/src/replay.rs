@@ -12,9 +12,10 @@
 //! subcommand renders as a repair timeline.
 
 use nonmask_obs::{Event, Journal};
-use nonmask_program::{Predicate, Program};
+use nonmask_program::{Predicate, Program, State};
 
-use crate::convergence::PathStep;
+use crate::convergence::{shortest_path_to, PathStep};
+use crate::{CheckError, StateSpace};
 
 /// One constraint-status transition observed while replaying a path.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,6 +88,34 @@ pub fn replay_constraints(
         });
     }
     transitions
+}
+
+/// A shortest computation from `start` into the states where every
+/// constraint holds — the witness [`replay_constraints`] turns into a
+/// repair timeline — or `None` when program steps cannot reach one.
+///
+/// # Errors
+///
+/// [`CheckError::WorkerFailed`] if a constraint panics at some state.
+pub fn repair_path(
+    space: &StateSpace,
+    program: &Program,
+    start: &State,
+    constraints: &[Predicate],
+) -> Result<Option<Vec<PathStep>>, CheckError> {
+    let vars: Vec<_> = program.var_ids().collect();
+    let start = start.clone();
+    let from = Predicate::new("start", vars.clone(), move |s| *s == start);
+    let all_hold = Predicate::new("all-constraints", vars, {
+        let constraints = constraints.to_vec();
+        move |s| constraints.iter().all(|c| c.holds(s))
+    });
+    let targets: Vec<State> = space
+        .satisfying(&all_hold)?
+        .into_iter()
+        .map(|id| space.state(id))
+        .collect();
+    shortest_path_to(space, &from, &targets)
 }
 
 #[cfg(test)]

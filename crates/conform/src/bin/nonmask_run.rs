@@ -1,285 +1,255 @@
-//! `nonmask-run`: launch a protocol as distributed TCP-loopback nodes
-//! under configurable fault rates, or replay/produce observability
-//! journals.
+//! `nonmask-run`: launch a registered protocol as distributed
+//! TCP-loopback nodes under configurable fault rates, or replay/produce
+//! observability journals.
 //!
 //! ```text
+//! nonmask-run --list
 //! nonmask-run token-ring --nodes 5 --k 5 --loss 0.2 --seed 1
 //! nonmask-run diffusing --nodes 7 --loss 0.3 --crash 2 --json out.json
-//! nonmask-run token-ring --crash 2 --journal run.jsonl
+//! nonmask-run coloring --nodes 7 --journal run.jsonl
+//! nonmask-run bfs --nodes 6 --loss 0.2
+//! nonmask-run spanning-tree --nodes 4 --crash 1
 //! nonmask-run check --nodes 5 --journal check.jsonl
 //! nonmask-run conform --smoke --out conform-out
 //! nonmask-run trace check.jsonl
-//! nonmask-run --list
 //! ```
 //!
-//! A protocol run starts from a seeded random (usually illegitimate)
-//! state, waits for the runtime detector to observe convergence,
-//! optionally crash-restarts one node into an arbitrary state and waits
-//! for reconvergence, then prints the observability report. `check` runs
+//! Every protocol comes from the registry
+//! (`nonmask_protocols::registry`): `--nodes` and `--k` size it, and
+//! any other parameter is the conformance corpus instance's. A protocol
+//! run starts from a seeded random (usually illegitimate) state, waits
+//! for the runtime detector to observe convergence, optionally
+//! crash-restarts one node into an arbitrary state and waits for
+//! reconvergence, then prints the observability report. `check` runs
 //! the exhaustive checker on the token ring and journals a convergence
 //! witness as a per-constraint repair timeline; `trace` replays any
 //! journal as human-readable text (and fails on schema drift, which is
 //! what the CI gate leans on).
+//!
+//! Each subcommand declares its options in one flag table; one parser
+//! reads every table, and `--help` is rendered from the same tables.
 
+use std::collections::HashMap;
+use std::fmt::Display;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
-use nonmask_checker::convergence::{check_convergence_stats, shortest_path_to};
-use nonmask_checker::{replay_constraints, CheckOptions, Fairness, StateSpace};
+use nonmask_checker::convergence::check_convergence_stats;
+use nonmask_checker::{repair_path, replay_constraints, CheckOptions, Fairness, StateSpace};
 use nonmask_net::{run, FaultConfig, Journal, NetConfig, NetEvent};
 use nonmask_obs::{parse_journal, render_timeline};
-use nonmask_program::{Predicate, Program, State};
-use nonmask_protocols::diffusing::DiffusingComputation;
-use nonmask_protocols::token_ring::TokenRing;
-use nonmask_protocols::Tree;
+use nonmask_program::Predicate;
+use nonmask_protocols::registry::{Protocol, FAMILIES};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-const USAGE: &str = "\
-usage: nonmask-run <protocol> [options]
-       nonmask-run check [options]
-       nonmask-run conform [--smoke] [--seed S] [--out DIR] [--sim-only]
-       nonmask-run synth --protocol P [--out FILE] [--golden FILE] [--conform]
-       nonmask-run fleet [--tenants N] [--protocols ring|mixed] [--out FILE]
-       nonmask-run byzantine [--protocol bfs|spanning-tree] [--nodes N] [--byz A,B]
-       nonmask-run trace <journal.jsonl>
+/// One subcommand as `--help` shows it and the parser reads it.
+///
+/// Each `flags` line is both the parser's declaration and the option's
+/// `--help` line, so the two cannot drift: its first [`FLAG_COLUMN`]
+/// columns hold the option and, if it takes one, a value placeholder
+/// (`--nodes N`); a line starting with a space continues the help of the
+/// line above.
+struct Command {
+    /// The subcommand word (`<protocol>` for protocol runs).
+    name: &'static str,
+    /// Usage after the subcommand word.
+    synopsis: &'static str,
+    /// The one positional argument the subcommand takes, if any.
+    operand: Option<&'static str>,
+    /// What the subcommand does, one help line per text line.
+    about: &'static str,
+    flags: &'static [&'static str],
+    /// Runs the subcommand on its parsed arguments.
+    main: fn(&Args) -> Result<ExitCode, String>,
+}
 
-protocols:
-  token-ring        Dijkstra's K-state token ring (--nodes, --k)
-  diffusing         diffusing computation on a binary tree (--nodes)
+/// Width of the option column of a `flags` line.
+const FLAG_COLUMN: usize = 18;
 
-subcommands:
-  check             model-check the token ring and journal a convergence
-                    witness as a per-constraint repair timeline
-  conform           differential conformance: replay every simulator and
-                    socket-runtime step through the checker's transition
-                    relation over a fixed-seed corpus; on divergence,
-                    shrink the fault schedule and write repro artifacts
-                    (--smoke: CI-sized corpus; --out: artifact dir;
-                    --journal: verdict journal; --sim-only: skip sockets;
-                    --planted-bug: self-test, needs feature planted-bug)
-  synth             derive the convergence actions of a protocol from its
-                    constraint decomposition alone and print the
-                    checker-certified design
-                    (--protocol token-ring|diffusing|coloring;
-                    --nodes/--window/--colors: instance size;
-                    --threads: certification workers; --out: write the
-                    rendered design; --journal: synthesis event journal;
-                    --golden FILE: diff against a committed design, exit
-                    nonzero on drift; --conform: feed the synthesized
-                    design through the smoke conformance corpus)
-  fleet             batch-step a population of protocol instances to
-                    stabilization over the verdict cache and report
-                    throughput, cache hit rate, and latency percentiles
-                    versus the certified bounds
-                    (--tenants: population size; --protocols ring|mixed;
-                    --seed: master seed; --workers/--slab-size:
-                    scheduling knobs, bit-identical results either way;
-                    --faults: transient faults per tenant; --journal:
-                    population-summary journal; --out: JSON report)
-  byzantine         containment-radius agreement battery: run one
-                    Byzantine instance through the simulator and the
-                    socket runtime on the same seed, measure the
-                    containment radius from each journal's per-node
-                    verdicts, and certify the radius with the checker's
-                    restricted-region convergence sweep on a small
-                    instance of the same family; exit 2 on any radius
-                    violation
-                    (--protocol bfs|spanning-tree; --nodes: graph size;
-                    --degree/--topo-seed: random-graph shape; --byz:
-                    comma-separated liar nodes; --seed: run seed;
-                    --check-nodes: checker instance size; --out DIR:
-                    write sim/net/small journals and a JSON summary)
-  trace             replay a JSON-lines journal as a readable timeline
-                    (exits nonzero on any schema drift)
+/// The option a `flags` line declares, and whether it takes a value.
+fn declared(line: &str) -> Option<(&str, bool)> {
+    let head = line.get(..FLAG_COLUMN).unwrap_or(line).trim_end();
+    let (name, value) = head.split_once(' ').unwrap_or((head, ""));
+    name.starts_with("--").then_some((name, !value.is_empty()))
+}
 
-options:
-  --nodes N         number of processes            (default 5; diffusing: tree size)
-  --k K             token-ring counter modulus     (default = nodes)
-  --loss P          frame drop probability         (default 0.2)
-  --corrupt P       frame bit-flip probability     (default loss/4)
-  --dup P           frame duplication probability  (default loss/4)
-  --delay P         frame delay probability        (default loss/2)
-  --seed S          RNG seed (faults, initial and restart states)  (default 1)
-  --crash NODE      crash-restart NODE into an arbitrary state mid-run
-  --down-ms MS      crash downtime                 (default 50)
-  --timeout-ms MS   abort threshold                (default 30000)
-  --shards S        reactor worker shards          (default 0 = auto)
-  --json PATH       also write the machine-readable report to PATH
-  --journal PATH    write a JSON-lines event journal to PATH
-                    (for `check`: default prints the timeline instead)
-  --list            list protocols and exit
-  --help            this text";
+const RUN: Command = Command {
+    name: "<protocol>",
+    synopsis: "[options]",
+    operand: Some("protocol"),
+    about: "run a registered protocol as TCP-loopback socket nodes under\n\
+            injected faults until the runtime detector sees convergence",
+    flags: &[
+        "--nodes N         number of processes (default 5)",
+        "--k K             token-ring counter modulus (default = nodes)",
+        "--loss P          frame drop probability (default 0.2)",
+        "--corrupt P       frame bit-flip probability (default loss/4)",
+        "--dup P           frame duplication probability (default loss/4)",
+        "--delay P         frame delay probability (default loss/2)",
+        "--seed S          RNG seed: faults, initial and restart states (default 1)",
+        "--crash NODE      crash-restart NODE into an arbitrary state mid-run",
+        "--down-ms MS      crash downtime (default 50)",
+        "--timeout-ms MS   abort threshold (default 30000)",
+        "--shards S        reactor worker shards (default 0 = auto)",
+        "--json PATH       also write the machine-readable report to PATH",
+        "--journal PATH    write a JSON-lines event journal to PATH",
+        "                  (check: default prints the timeline instead)",
+    ],
+    main: run_main,
+};
 
+const CHECK: Command = Command {
+    name: "check",
+    synopsis: "[options]",
+    operand: None,
+    about: "model-check the token ring (--nodes, --k) and journal a convergence\n\
+            witness as a per-constraint repair timeline",
+    flags: RUN.flags,
+    main: check_ring,
+};
+
+const TRACE: Command = Command {
+    name: "trace",
+    synopsis: "<journal.jsonl>",
+    operand: Some("journal path"),
+    about: "replay a JSON-lines journal as a readable timeline\n\
+            (exits nonzero on any schema drift)",
+    flags: &[],
+    main: trace_main,
+};
+
+/// Every subcommand, in `--help` order.
+const COMMANDS: [&Command; 7] = [
+    &RUN,
+    &CHECK,
+    &conform::COMMAND,
+    &synth::COMMAND,
+    &fleet::COMMAND,
+    &byzantine::COMMAND,
+    &TRACE,
+];
+
+/// The help text, rendered from the registry and the flag tables.
+fn usage() -> String {
+    let mut out = String::new();
+    for (i, cmd) in COMMANDS.iter().enumerate() {
+        let lead = if i == 0 { "usage:" } else { "      " };
+        out += &format!("{lead} nonmask-run {} {}\n", cmd.name, cmd.synopsis);
+    }
+    out += "       nonmask-run --list | --help\n\nprotocols:\n";
+    for (name, about) in FAMILIES {
+        out += &format!("  {name:<18}{about}\n");
+    }
+    for (i, cmd) in COMMANDS.iter().enumerate() {
+        out += &format!("\n{} {}\n", cmd.name, cmd.synopsis);
+        for line in cmd.about.lines() {
+            out += &format!("    {line}\n");
+        }
+        if i > 0 && !cmd.flags.is_empty() && cmd.flags == COMMANDS[i - 1].flags {
+            out += "    (options as above)\n";
+            continue;
+        }
+        for line in cmd.flags {
+            out += &format!("    {line}\n");
+        }
+    }
+    out
+}
+
+/// The options and operand one subcommand was given.
 struct Args {
-    protocol: String,
-    nodes: usize,
-    k: Option<i64>,
-    loss: f64,
-    corrupt: Option<f64>,
-    dup: Option<f64>,
-    delay: Option<f64>,
-    seed: u64,
-    crash: Option<usize>,
-    down_ms: u64,
-    timeout_ms: u64,
-    json: Option<String>,
-    journal: Option<String>,
-    shards: usize,
+    values: HashMap<&'static str, String>,
+    operand: String,
 }
 
-fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut args = Args {
-        protocol: String::new(),
-        nodes: 5,
-        k: None,
-        loss: 0.2,
-        corrupt: None,
-        dup: None,
-        delay: None,
-        seed: 1,
-        crash: None,
-        down_ms: 50,
-        timeout_ms: 30_000,
-        json: None,
-        journal: None,
-        shards: 0,
-    };
-    let mut i = 0;
-    while i < argv.len() {
-        let arg = argv[i].as_str();
-        let mut value = |name: &str| -> Result<String, String> {
-            i += 1;
-            argv.get(i)
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
+impl Args {
+    /// Read `argv` against `cmd`'s flag table. The last occurrence of a
+    /// repeated option wins.
+    fn parse(cmd: &Command, argv: &[String]) -> Result<Args, String> {
+        let mut values = HashMap::new();
+        let mut operands = Vec::new();
+        let mut argv = argv.iter();
+        while let Some(arg) = argv.next() {
+            if !arg.starts_with("--") {
+                operands.push(arg.clone());
+                continue;
+            }
+            let (name, takes_value) = cmd
+                .flags
+                .iter()
+                .filter_map(|line| declared(line))
+                .find(|(name, _)| name == arg)
+                .ok_or_else(|| format!("unknown option `{arg}`"))?;
+            let value = if takes_value {
+                argv.next().ok_or_else(|| format!("{arg} needs a value"))?
+            } else {
+                ""
+            };
+            values.insert(name, value.to_owned());
+        }
+        let wanted = usize::from(cmd.operand.is_some());
+        if let Some(extra) = operands.get(wanted) {
+            return Err(format!("unexpected argument `{extra}`"));
+        }
+        let operand = match (cmd.operand, operands.pop()) {
+            (Some(name), None) => return Err(format!("missing {name}")),
+            (_, operand) => operand.unwrap_or_default(),
         };
-        match arg {
-            "--nodes" => {
-                args.nodes = value("--nodes")?
-                    .parse()
-                    .map_err(|e| format!("--nodes: {e}"))?
-            }
-            "--k" => args.k = Some(value("--k")?.parse().map_err(|e| format!("--k: {e}"))?),
-            "--loss" => {
-                args.loss = value("--loss")?
-                    .parse()
-                    .map_err(|e| format!("--loss: {e}"))?
-            }
-            "--corrupt" => {
-                args.corrupt = Some(
-                    value("--corrupt")?
-                        .parse()
-                        .map_err(|e| format!("--corrupt: {e}"))?,
-                )
-            }
-            "--dup" => args.dup = Some(value("--dup")?.parse().map_err(|e| format!("--dup: {e}"))?),
-            "--delay" => {
-                args.delay = Some(
-                    value("--delay")?
-                        .parse()
-                        .map_err(|e| format!("--delay: {e}"))?,
-                )
-            }
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--crash" => {
-                args.crash = Some(
-                    value("--crash")?
-                        .parse()
-                        .map_err(|e| format!("--crash: {e}"))?,
-                )
-            }
-            "--down-ms" => {
-                args.down_ms = value("--down-ms")?
-                    .parse()
-                    .map_err(|e| format!("--down-ms: {e}"))?
-            }
-            "--timeout-ms" => {
-                args.timeout_ms = value("--timeout-ms")?
-                    .parse()
-                    .map_err(|e| format!("--timeout-ms: {e}"))?
-            }
-            "--shards" => {
-                args.shards = value("--shards")?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?
-            }
-            "--json" => args.json = Some(value("--json")?),
-            "--journal" => args.journal = Some(value("--journal")?),
-            other if other.starts_with("--") => return Err(format!("unknown option `{other}`")),
-            other if args.protocol.is_empty() => args.protocol = other.to_owned(),
-            other => return Err(format!("unexpected argument `{other}`")),
-        }
-        i += 1;
+        Ok(Args { values, operand })
     }
-    if args.protocol.is_empty() {
-        return Err("missing protocol".to_owned());
-    }
-    Ok(args)
-}
 
-/// The protocol's program, goal predicate, and seeded initial state.
-fn build_protocol(args: &Args) -> Result<(Program, Predicate, State), String> {
-    let mut rng = StdRng::seed_from_u64(args.seed);
-    match args.protocol.as_str() {
-        "token-ring" => {
-            if args.nodes < 2 {
-                return Err("token-ring needs --nodes >= 2".to_owned());
-            }
-            let k = args.k.unwrap_or(args.nodes as i64);
-            if k < 2 {
-                return Err("token-ring needs --k >= 2".to_owned());
-            }
-            let ring = TokenRing::new(args.nodes, k);
-            let initial = ring.program().random_state(&mut rng);
-            Ok((ring.program().clone(), ring.invariant(), initial))
-        }
-        "diffusing" => {
-            if args.nodes < 1 {
-                return Err("diffusing needs --nodes >= 1".to_owned());
-            }
-            let dc = DiffusingComputation::new(&Tree::binary(args.nodes));
-            let initial = dc.program().random_state(&mut rng);
-            Ok((dc.program().clone(), dc.invariant(), initial))
-        }
-        other => Err(format!("unknown protocol `{other}`; try --list")),
+    /// Whether switch (or option) `name` was given.
+    fn has(&self, name: &str) -> bool {
+        self.values.contains_key(name)
+    }
+
+    /// The raw value of option `name`.
+    fn text(&self, name: &str) -> Option<&str> {
+        self.values.get(name).map(String::as_str)
+    }
+
+    /// The value of option `name`, parsed.
+    fn get<T: FromStr>(&self, name: &str) -> Result<Option<T>, String>
+    where
+        T::Err: Display,
+    {
+        self.text(name)
+            .map(|v| v.parse().map_err(|e| format!("{name}: {e}")))
+            .transpose()
+    }
+
+    /// The value of option `name`, parsed, or `default` when absent.
+    fn or<T: FromStr>(&self, name: &str, default: T) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        Ok(self.get(name)?.unwrap_or(default))
     }
 }
 
-/// `trace <journal.jsonl>`: replay a journal as a readable timeline;
-/// any schema drift is a hard failure.
-fn trace_main(argv: &[String]) -> ExitCode {
-    let [path] = argv else {
-        eprintln!("error: trace takes exactly one journal path\n\n{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("error: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match parse_journal(&text) {
-        Ok(records) => {
-            print!("{}", render_timeline(&records));
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            ExitCode::FAILURE
-        }
+/// A journal writing to `path`, or a disabled one.
+fn journal_at(path: Option<&str>) -> Result<Journal, String> {
+    match path {
+        Some(path) => Journal::to_file(path).map_err(|e| format!("cannot create {path}: {e}")),
+        None => Ok(Journal::disabled()),
     }
 }
 
-/// `check`: model-check the token ring, then journal a witness
-/// computation from a corrupt state as a §4 constraint-repair timeline.
-fn check_main(args: &Args) -> ExitCode {
-    match check_ring(args) {
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
+    if argv.iter().any(|a| a == "--list") {
+        for (name, _) in FAMILIES {
+            println!("{name}");
+        }
+        return ExitCode::SUCCESS;
+    }
+    match dispatch(&argv) {
         Ok(code) => code,
         Err(msg) => {
             eprintln!("error: {msg}");
@@ -288,24 +258,100 @@ fn check_main(args: &Args) -> ExitCode {
     }
 }
 
+/// Route `argv` to its subcommand; errors are printed as one line.
+fn dispatch(argv: &[String]) -> Result<ExitCode, String> {
+    let named = argv
+        .first()
+        .and_then(|word| COMMANDS.iter().find(|cmd| cmd.name == word));
+    let (cmd, rest) = match named {
+        Some(cmd) => (*cmd, &argv[1..]),
+        None => (&RUN, argv),
+    };
+    let args = Args::parse(cmd, rest).map_err(|msg| format!("{msg} (see --help)"))?;
+    (cmd.main)(&args)
+}
+
+/// `trace <journal.jsonl>`: replay a journal as a readable timeline;
+/// any schema drift is a hard failure.
+fn trace_main(args: &Args) -> Result<ExitCode, String> {
+    let path = &args.operand;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let records = parse_journal(&text).map_err(|e| format!("{path}: {e}"))?;
+    print!("{}", render_timeline(&records));
+    Ok(ExitCode::SUCCESS)
+}
+
+/// `<protocol>`: launch the registered protocol as socket
+/// nodes from a seeded random state and report its convergence.
+fn run_main(args: &Args) -> Result<ExitCode, String> {
+    let nodes = args.or("--nodes", 5)?;
+    let spec = Protocol::from_family(&args.operand, nodes, args.get("--k")?)?.spec();
+    let seed = args.or("--seed", 1)?;
+    let loss = args.or("--loss", 0.2)?;
+    let initial = spec.program.random_state(&mut StdRng::seed_from_u64(seed));
+    let hostile = FaultConfig::hostile(seed, loss);
+    let faults = FaultConfig {
+        corrupt_rate: args.or("--corrupt", hostile.corrupt_rate)?,
+        duplicate_rate: args.or("--dup", hostile.duplicate_rate)?,
+        delay_rate: args.or("--delay", hostile.delay_rate)?,
+        ..hostile
+    };
+    let down = Duration::from_millis(args.or("--down-ms", 50)?);
+    let events = args
+        .get("--crash")?
+        .map(|node| NetEvent::CrashRestart {
+            node,
+            at_least: Duration::ZERO,
+            down,
+        })
+        .into_iter()
+        .collect();
+    let config = NetConfig {
+        seed,
+        faults,
+        timeout: Duration::from_millis(args.or("--timeout-ms", 30_000)?),
+        events,
+        journal: journal_at(args.text("--journal"))?,
+        shards: args.or("--shards", 0)?,
+        ..NetConfig::default()
+    };
+
+    println!(
+        "launching `{}` as {nodes} socket nodes (loss {:.0}%, seed {seed})",
+        spec.program.name(),
+        loss * 100.0,
+    );
+    let report = run(&spec.program, &initial, &spec.goal, &config).map_err(|e| e.to_string())?;
+    print!("{}", report.render());
+    if let Some(path) = args.text("--json") {
+        std::fs::write(path, report.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
+        eprintln!("wrote {path}");
+    }
+    if let Some(path) = args.text("--journal") {
+        eprintln!("journal written to {path}");
+    }
+    Ok(if report.converged {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    })
+}
+
+/// `check`: model-check the token ring, then journal a witness
+/// computation from a corrupt state as a §4 constraint-repair timeline.
 fn check_ring(args: &Args) -> Result<ExitCode, String> {
-    let n = args.nodes;
-    if n < 2 {
-        return Err("check needs --nodes >= 2".to_owned());
-    }
-    let k = args.k.unwrap_or(n as i64);
-    if k < 2 {
-        return Err("check needs --k >= 2".to_owned());
-    }
-    let ring = TokenRing::new(n, k);
-    let program = ring.program();
+    let n = args.or("--nodes", 5)?;
+    let k = args.or("--k", n as i64)?;
+    // The registry's decomposition of the ring: c.j ≡ `x.j = x.(j-1)`.
+    // The constraint graph is the ring's chain (c.j reads only c.(j-1)'s
+    // variables), and on the all-agree states only the root holds the
+    // privilege — the paper's Theorem 2 shape.
+    let spec = Protocol::from_family("token-ring", n, Some(k))?.spec();
+    let program = &spec.program;
 
     // Journal to the requested file, or to memory (rendered at the end).
-    let (journal, memory) = match &args.journal {
-        Some(path) => (
-            Journal::to_file(path).map_err(|e| format!("cannot create {path}: {e}"))?,
-            None,
-        ),
+    let (journal, memory) = match args.text("--journal") {
+        Some(path) => (journal_at(Some(path))?, None),
         None => {
             let (journal, buffer) = Journal::memory();
             (journal, Some(buffer))
@@ -319,47 +365,22 @@ fn check_ring(args: &Args) -> Result<ExitCode, String> {
         &space,
         program,
         &Predicate::always_true(),
-        &ring.invariant(),
+        &spec.goal,
         Fairness::WeaklyFair,
         opts,
         &journal,
     )
     .map_err(|e| format!("convergence check failed: {e}"))?;
 
-    // §4 constraint decomposition of the ring: c.j ≡ `x.j = x.(j-1)`.
-    // The constraint graph is the ring's chain (c.j reads only c.(j-1)'s
-    // variables), and on the all-agree states only the root holds the
-    // privilege — the paper's Theorem 2 shape.
-    let constraints: Vec<Predicate> = (1..n)
-        .map(|j| {
-            let xj = ring.counter_var(j);
-            let xp = ring.counter_var(j - 1);
-            Predicate::new(format!("c.{j}"), [xj, xp], move |s| s.get(xj) == s.get(xp))
-        })
-        .collect();
-
     // A maximally disagreeing start: every boundary violates its
     // constraint, so the witness shows the whole repair cascade.
     let corrupt = program
         .state_from((0..n).map(|j| ((n - j) as i64) % k).collect::<Vec<_>>())
         .map_err(|e| format!("corrupt state: {e}"))?;
-    let all_vars: Vec<_> = program.var_ids().collect();
-    let corrupt_eq = corrupt.clone();
-    let from = Predicate::new("corrupt-start", all_vars.clone(), move |s| *s == corrupt_eq);
-    let agree = Predicate::new("all-agree", all_vars, {
-        let constraints = constraints.clone();
-        move |s| constraints.iter().all(|c| c.holds(s))
-    });
-    let targets: Vec<State> = space
-        .satisfying(&agree)
-        .map_err(|e| format!("target scan failed: {e}"))?
-        .into_iter()
-        .map(|id| space.state(id))
-        .collect();
-    let path = shortest_path_to(&space, &from, &targets)
+    let path = repair_path(&space, program, &corrupt, &spec.constraints)
         .map_err(|e| format!("path search failed: {e}"))?
         .ok_or("no path from the corrupt state to the all-agree states")?;
-    let transitions = replay_constraints(program, &path, &constraints, &journal);
+    let transitions = replay_constraints(program, &path, &spec.constraints, &journal);
     journal.flush();
 
     println!(
@@ -369,14 +390,12 @@ fn check_ring(args: &Args) -> Result<ExitCode, String> {
         path.len() - 1,
         transitions.len()
     );
-    match (&args.journal, memory) {
-        (Some(path), _) => println!("journal written to {path}"),
-        (None, Some(buffer)) => {
-            let records = parse_journal(&buffer.contents())
-                .map_err(|e| format!("journal replay failed: {e}"))?;
-            print!("{}", render_timeline(&records));
-        }
-        (None, None) => unreachable!("memory journal exists when no path is given"),
+    if let Some(buffer) = memory {
+        let records =
+            parse_journal(&buffer.contents()).map_err(|e| format!("journal replay failed: {e}"))?;
+        print!("{}", render_timeline(&records));
+    } else if let Some(path) = args.text("--journal") {
+        println!("journal written to {path}");
     }
     Ok(if convergence.converges() {
         ExitCode::SUCCESS
@@ -385,232 +404,75 @@ fn check_ring(args: &Args) -> Result<ExitCode, String> {
     })
 }
 
-fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    if argv.iter().any(|a| a == "--list") {
-        println!("token-ring\ndiffusing");
-        return ExitCode::SUCCESS;
-    }
-    if argv.first().map(String::as_str) == Some("trace") {
-        return trace_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("conform") {
-        return conform::main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("synth") {
-        return synth::main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("fleet") {
-        return fleet::main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("byzantine") {
-        return byzantine::main(&argv[1..]);
-    }
-    let args = match parse_args(&argv) {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("error: {msg}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if args.protocol == "check" {
-        return check_main(&args);
-    }
-
-    let (program, goal, initial) = match build_protocol(&args) {
-        Ok(built) => built,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let faults = FaultConfig {
-        seed: args.seed,
-        drop_rate: args.loss,
-        corrupt_rate: args.corrupt.unwrap_or(args.loss / 4.0),
-        duplicate_rate: args.dup.unwrap_or(args.loss / 4.0),
-        delay_rate: args.delay.unwrap_or(args.loss / 2.0),
-        max_delay_ticks: 8,
-    };
-    let events = match args.crash {
-        Some(node) => vec![NetEvent::CrashRestart {
-            node,
-            at_least: Duration::ZERO,
-            down: Duration::from_millis(args.down_ms),
-        }],
-        None => Vec::new(),
-    };
-    let journal = match &args.journal {
-        Some(path) => match Journal::to_file(path) {
-            Ok(journal) => journal,
-            Err(e) => {
-                eprintln!("error: cannot create {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => Journal::disabled(),
-    };
-    let config = NetConfig {
-        seed: args.seed,
-        faults,
-        timeout: Duration::from_millis(args.timeout_ms),
-        events,
-        journal,
-        shards: args.shards,
-        ..NetConfig::default()
-    };
-
-    println!(
-        "launching `{}` as {} socket nodes (loss {:.0}%, seed {})",
-        program.name(),
-        args.nodes,
-        args.loss * 100.0,
-        args.seed
-    );
-    let report = match run(&program, &initial, &goal, &config) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    print!("{}", report.render());
-    if let Some(path) = &args.json {
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!("failed to write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = &args.journal {
-        eprintln!("journal written to {path}");
-    }
-    if report.converged {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
 /// `conform`: the fixed-seed differential conformance corpus, plus the
 /// planted-bug self-test when built with `--features planted-bug`.
 mod conform {
     use std::process::ExitCode;
 
+    use nonmask_conform::corpus::emit_verdict;
     use nonmask_conform::{
-        check_run, default_specs, run_corpus, run_net_journaled, run_sim, run_sim_journaled,
+        check_run, corpus, run_corpus, run_net_journaled, run_sim, run_sim_journaled,
         shrink_schedule, CorpusConfig, CorpusReport, ProtocolOracle, ProtocolSpec, RunInput,
     };
-    use nonmask_obs::{Event, Journal};
+    use nonmask_obs::Journal;
 
-    struct Args {
-        smoke: bool,
-        seed: u64,
-        out: String,
-        journal: Option<String>,
-        sim_only: bool,
-        planted: bool,
-    }
+    use super::{journal_at, Args, Command};
 
-    fn parse(argv: &[String]) -> Result<Args, String> {
-        let mut args = Args {
-            smoke: false,
-            seed: 1,
-            out: "conform-out".to_owned(),
-            journal: None,
-            sim_only: false,
-            planted: false,
-        };
-        let mut i = 0;
-        while i < argv.len() {
-            let arg = argv[i].as_str();
-            let mut value = |name: &str| -> Result<String, String> {
-                i += 1;
-                argv.get(i)
-                    .cloned()
-                    .ok_or_else(|| format!("{name} needs a value"))
-            };
-            match arg {
-                "--smoke" => args.smoke = true,
-                "--sim-only" => args.sim_only = true,
-                "--planted-bug" => args.planted = true,
-                "--seed" => {
-                    args.seed = value("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?
-                }
-                "--out" => args.out = value("--out")?,
-                "--journal" => args.journal = Some(value("--journal")?),
-                other => return Err(format!("unknown conform option `{other}`")),
-            }
-            i += 1;
-        }
-        Ok(args)
-    }
+    pub const COMMAND: Command = Command {
+        name: "conform",
+        synopsis: "[options]",
+        operand: None,
+        about: "differential conformance: replay every simulator and socket-runtime\n\
+                step through the checker's transition relation over a fixed-seed\n\
+                corpus; on divergence, shrink the fault schedule and write repro\n\
+                artifacts (exit 2)",
+        flags: &[
+            "--smoke           CI-sized corpus",
+            "--seed S          base seed (default 1)",
+            "--out DIR         repro artifact directory (default conform-out)",
+            "--journal PATH    verdict journal",
+            "--sim-only        skip the socket runtime",
+            "--planted-bug     self-test; needs cargo feature planted-bug",
+        ],
+        main,
+    };
 
-    pub fn main(argv: &[String]) -> ExitCode {
-        let args = match parse(argv) {
-            Ok(args) => args,
-            Err(msg) => {
-                eprintln!("error: {msg}\n\n{}", super::USAGE);
-                return ExitCode::FAILURE;
-            }
-        };
-        if args.planted {
-            return planted_main(&args);
+    pub fn main(args: &Args) -> Result<ExitCode, String> {
+        let seed = args.or("--seed", 1)?;
+        if args.has("--planted-bug") {
+            return planted_main(seed);
         }
 
-        let specs = default_specs();
-        let mut config = if args.smoke {
-            CorpusConfig::smoke(args.seed)
+        let specs = corpus();
+        let mut config = if args.has("--smoke") {
+            CorpusConfig::smoke(seed)
         } else {
-            CorpusConfig::full(args.seed)
+            CorpusConfig::full(seed)
         };
-        config.sim_only = args.sim_only;
-        let journal = match &args.journal {
-            Some(path) => match Journal::to_file(path) {
-                Ok(journal) => journal,
-                Err(e) => {
-                    eprintln!("error: cannot create {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => Journal::disabled(),
-        };
+        config.sim_only = args.has("--sim-only");
+        let journal = journal_at(args.text("--journal"))?;
         println!(
-            "conformance corpus: {} protocols, {} sim + {} net runs each (base seed {})",
+            "conformance corpus: {} protocols, {} sim + {} net runs each (base seed {seed})",
             specs.len(),
             config.sim_runs,
             if config.sim_only { 0 } else { config.net_runs },
-            args.seed
         );
-        let report = match run_corpus(&specs, &config, &journal) {
-            Ok(report) => report,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let report = run_corpus(&specs, &config, &journal)?;
         journal.flush();
         print!("{}", report.render());
-        if let Some(path) = &args.journal {
+        if let Some(path) = args.text("--journal") {
             eprintln!("verdict journal written to {path}");
         }
         if report.divergent_runs() == 0 {
-            ExitCode::SUCCESS
-        } else {
-            if let Err(msg) = write_artifacts(&report, &specs, &args.out) {
-                eprintln!("error writing artifacts: {msg}");
-            }
-            // Distinct from infrastructure failure (1): the layers ran,
-            // but they disagree with the checker.
-            ExitCode::from(2)
+            return Ok(ExitCode::SUCCESS);
         }
+        let out = args.text("--out").unwrap_or("conform-out");
+        if let Err(msg) = write_artifacts(&report, &specs, out) {
+            eprintln!("error writing artifacts: {msg}");
+        }
+        // Distinct from infrastructure failure (1): the layers ran, but
+        // they disagree with the checker.
+        Ok(ExitCode::from(2))
     }
 
     /// For every divergent run: shrink its fault schedule (sim) to a
@@ -686,44 +548,18 @@ mod conform {
         Ok(())
     }
 
-    fn emit_verdict(
-        journal: &Journal,
-        layer: &str,
-        protocol: &str,
-        seed: u64,
-        report: &nonmask_conform::RunReport,
-    ) {
-        journal.emit_with(|| Event::Verdict {
-            layer: layer.to_string(),
-            protocol: protocol.to_string(),
-            seed,
-            steps: report.steps_checked,
-            verdict: report.verdict().to_string(),
-            detail: report
-                .divergences
-                .first()
-                .map(ToString::to_string)
-                .unwrap_or_default(),
-        });
-    }
-
     /// Self-test: execute the planted token-ring mutant against the
     /// healthy oracle — the harness must detect the divergence and
     /// shrink the fault schedule to a ≤5-event reproducer.
     #[cfg(feature = "planted-bug")]
-    fn planted_main(args: &Args) -> ExitCode {
-        use nonmask_conform::{FaultSchedule, SimRunConfig};
+    fn planted_main(seed: u64) -> Result<ExitCode, String> {
+        use nonmask_conform::{FaultSchedule, Protocol, SimRunConfig};
         use nonmask_program::Predicate;
+        use nonmask_protocols::token_ring::TokenRing;
 
-        let spec = ProtocolSpec::token_ring(4, 4);
-        let mutant = ProtocolSpec::token_ring_mutant_program(4, 4);
-        let oracle = match ProtocolOracle::build(&spec) {
-            Ok(oracle) => oracle,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let spec = Protocol::TokenRing { nodes: 4, k: 4 }.spec();
+        let mutant = TokenRing::planted_mutant(4, 4).program().clone();
+        let oracle = ProtocolOracle::build(&spec)?;
         // Run for a fixed horizon (never-satisfied goal) so the token
         // always revisits the mutated root action.
         let never = Predicate::always_false();
@@ -732,14 +568,13 @@ mod conform {
             ..SimRunConfig::default()
         };
         let diverges = |schedule: &FaultSchedule| {
-            run_sim(&mutant, &never, args.seed, schedule, &cfg)
+            run_sim(&mutant, &never, seed, schedule, &cfg)
                 .map(|o| !check_run(&oracle, &spec, &o, false).conforms())
                 .unwrap_or(false)
         };
-        let schedule = FaultSchedule::random(&spec.program, 4, args.seed, 8, 40);
+        let schedule = FaultSchedule::random(&spec.program, 4, seed, 8, 40);
         if !diverges(&schedule) {
-            eprintln!("planted bug NOT detected (seed {})", args.seed);
-            return ExitCode::FAILURE;
+            return Err(format!("planted bug NOT detected (seed {seed})"));
         }
         let shrunk = shrink_schedule(&schedule, diverges);
         println!(
@@ -748,30 +583,28 @@ mod conform {
             shrunk.len()
         );
         println!(
-            "repro: protocol {} seed {} schedule:\n{}",
+            "repro: protocol {} seed {seed} schedule:\n{}",
             spec.name,
-            args.seed,
             if shrunk.is_empty() {
                 "(empty — the bug needs no faults)".to_owned()
             } else {
                 shrunk.render()
             }
         );
-        if shrunk.len() <= 5 {
-            ExitCode::SUCCESS
-        } else {
-            eprintln!("shrunk schedule still has {} faults (> 5)", shrunk.len());
-            ExitCode::FAILURE
+        if shrunk.len() > 5 {
+            return Err(format!(
+                "shrunk schedule still has {} faults (> 5)",
+                shrunk.len()
+            ));
         }
+        Ok(ExitCode::SUCCESS)
     }
 
     #[cfg(not(feature = "planted-bug"))]
-    fn planted_main(_args: &Args) -> ExitCode {
-        eprintln!(
-            "error: the planted-bug self-test needs `--features planted-bug` \
+    fn planted_main(_seed: u64) -> Result<ExitCode, String> {
+        Err("the planted-bug self-test needs `--features planted-bug` \
              (cargo run -p nonmask-conform --features planted-bug --bin nonmask-run -- conform --planted-bug)"
-        );
-        ExitCode::FAILURE
+            .to_owned())
     }
 }
 
@@ -782,114 +615,47 @@ mod fleet {
     use std::process::ExitCode;
 
     use nonmask_fleet::{run_fleet, FleetConfig, FleetProtocol};
-    use nonmask_obs::Journal;
 
-    struct Args {
-        tenants: u64,
-        protocols: String,
-        seed: u64,
-        workers: usize,
-        slab_size: usize,
-        faults: u32,
-        journal: Option<String>,
-        out: Option<String>,
-    }
+    use super::{journal_at, Args, Command};
 
-    fn parse(argv: &[String]) -> Result<Args, String> {
-        let defaults = FleetConfig::default();
-        let mut args = Args {
-            tenants: defaults.tenants,
-            protocols: "ring".to_owned(),
-            seed: defaults.master_seed,
-            workers: defaults.workers,
-            slab_size: defaults.slab_size,
-            faults: defaults.faults_per_tenant,
-            journal: None,
-            out: None,
-        };
-        let mut i = 0;
-        while i < argv.len() {
-            let arg = argv[i].as_str();
-            let mut value = |name: &str| -> Result<String, String> {
-                i += 1;
-                argv.get(i)
-                    .cloned()
-                    .ok_or_else(|| format!("{name} needs a value"))
-            };
-            match arg {
-                "--tenants" => {
-                    args.tenants = value("--tenants")?
-                        .parse()
-                        .map_err(|e| format!("--tenants: {e}"))?
-                }
-                "--protocols" => args.protocols = value("--protocols")?,
-                "--seed" => {
-                    args.seed = value("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?
-                }
-                "--workers" => {
-                    args.workers = value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("--workers: {e}"))?
-                }
-                "--slab-size" => {
-                    args.slab_size = value("--slab-size")?
-                        .parse()
-                        .map_err(|e| format!("--slab-size: {e}"))?
-                }
-                "--faults" => {
-                    args.faults = value("--faults")?
-                        .parse()
-                        .map_err(|e| format!("--faults: {e}"))?
-                }
-                "--journal" => args.journal = Some(value("--journal")?),
-                "--out" => args.out = Some(value("--out")?),
-                other => return Err(format!("unknown fleet option `{other}`")),
-            }
-            i += 1;
-        }
-        Ok(args)
-    }
+    pub const COMMAND: Command = Command {
+        name: "fleet",
+        synopsis: "[options]",
+        operand: None,
+        about: "batch-step a population of protocol instances to stabilization over\n\
+                the verdict cache and report throughput, cache hit rate, and latency\n\
+                percentiles versus the certified bounds (exit 2 on a violation)",
+        flags: &[
+            "--tenants N       population size (default 10000)",
+            "--protocols SET   ring|mixed (default ring)",
+            "--seed S          master seed (default 4058935296)",
+            "--workers N       worker threads (default 0 = auto)",
+            "--slab-size N     tenants per slab (default 4096); results are",
+            "                  bit-identical for any --workers and --slab-size",
+            "--faults N        transient faults per tenant (default 2)",
+            "--journal PATH    population-summary journal",
+            "--out FILE        write the JSON report",
+        ],
+        main,
+    };
 
-    pub fn main(argv: &[String]) -> ExitCode {
-        let args = match parse(argv) {
-            Ok(args) => args,
-            Err(msg) => {
-                eprintln!("error: {msg}\n\n{}", super::USAGE);
-                return ExitCode::FAILURE;
-            }
-        };
-        match run(&args) {
-            Ok(code) => code,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                ExitCode::FAILURE
-            }
-        }
-    }
-
-    fn run(args: &Args) -> Result<ExitCode, String> {
-        let protocols = match args.protocols.as_str() {
+    pub fn main(args: &Args) -> Result<ExitCode, String> {
+        let protocols = match args.text("--protocols").unwrap_or("ring") {
             "ring" => FleetProtocol::ring_mix(),
             "mixed" => FleetProtocol::mixed(),
             other => return Err(format!("unknown protocol set `{other}` (ring|mixed)")),
         };
+        let defaults = FleetConfig::default();
         let config = FleetConfig {
             protocols,
-            tenants: args.tenants,
-            master_seed: args.seed,
-            workers: args.workers,
-            slab_size: args.slab_size,
-            faults_per_tenant: args.faults,
-            ..FleetConfig::default()
+            tenants: args.or("--tenants", defaults.tenants)?,
+            master_seed: args.or("--seed", defaults.master_seed)?,
+            workers: args.or("--workers", defaults.workers)?,
+            slab_size: args.or("--slab-size", defaults.slab_size)?,
+            faults_per_tenant: args.or("--faults", defaults.faults_per_tenant)?,
+            ..defaults
         };
-        let journal = match &args.journal {
-            Some(path) => {
-                Journal::to_file(path).map_err(|e| format!("cannot create {path}: {e}"))?
-            }
-            None => Journal::disabled(),
-        };
+        let journal = journal_at(args.text("--journal"))?;
         println!(
             "fleet: {} tenants over {} configurations (seed {:#x}, {} faults/tenant)",
             config.tenants,
@@ -928,10 +694,10 @@ mod fleet {
                 if c.within_bound() { "ok" } else { "VIOLATED" }
             );
         }
-        if let Some(path) = &args.journal {
+        if let Some(path) = args.text("--journal") {
             eprintln!("population journal written to {path}");
         }
-        if let Some(path) = &args.out {
+        if let Some(path) = args.text("--out") {
             std::fs::write(path, report.to_json())
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
             eprintln!("wrote {path}");
@@ -955,160 +721,69 @@ mod synth {
     use std::process::ExitCode;
 
     use nonmask_conform::{run_corpus, CorpusConfig, ProtocolSpec};
-    use nonmask_lang::compile_predicate;
     use nonmask_obs::Journal;
-    use nonmask_program::ActionId;
     use nonmask_synth::{specs, synthesize, SynthOptions, SynthResult, SynthSpec};
 
-    struct Args {
-        protocol: String,
-        nodes: Option<usize>,
-        window: Option<i64>,
-        colors: Option<i64>,
-        threads: usize,
-        out: Option<String>,
-        journal: Option<String>,
-        golden: Option<String>,
-        conform: bool,
-        seed: u64,
-    }
+    use super::{journal_at, Args, Command};
 
-    fn parse(argv: &[String]) -> Result<Args, String> {
-        let mut args = Args {
-            protocol: String::new(),
-            nodes: None,
-            window: None,
-            colors: None,
-            threads: 0,
-            out: None,
-            journal: None,
-            golden: None,
-            conform: false,
-            seed: 1,
-        };
-        let mut i = 0;
-        while i < argv.len() {
-            let arg = argv[i].as_str();
-            let mut value = |name: &str| -> Result<String, String> {
-                i += 1;
-                argv.get(i)
-                    .cloned()
-                    .ok_or_else(|| format!("{name} needs a value"))
-            };
-            match arg {
-                "--protocol" => args.protocol = value("--protocol")?,
-                "--nodes" => {
-                    args.nodes = Some(
-                        value("--nodes")?
-                            .parse()
-                            .map_err(|e| format!("--nodes: {e}"))?,
-                    )
-                }
-                "--window" => {
-                    args.window = Some(
-                        value("--window")?
-                            .parse()
-                            .map_err(|e| format!("--window: {e}"))?,
-                    )
-                }
-                "--colors" => {
-                    args.colors = Some(
-                        value("--colors")?
-                            .parse()
-                            .map_err(|e| format!("--colors: {e}"))?,
-                    )
-                }
-                "--threads" => {
-                    args.threads = value("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?
-                }
-                "--seed" => {
-                    args.seed = value("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?
-                }
-                "--out" => args.out = Some(value("--out")?),
-                "--journal" => args.journal = Some(value("--journal")?),
-                "--golden" => args.golden = Some(value("--golden")?),
-                "--conform" => args.conform = true,
-                other => return Err(format!("unknown synth option `{other}`")),
-            }
-            i += 1;
-        }
-        if args.protocol.is_empty() {
-            return Err("synth needs --protocol token-ring|diffusing|coloring".to_owned());
-        }
-        Ok(args)
-    }
+    pub const COMMAND: Command = Command {
+        name: "synth",
+        synopsis: "--protocol P [options]",
+        operand: None,
+        about: "derive the convergence actions of a protocol from its constraint\n\
+                decomposition alone and print the checker-certified design",
+        flags: &[
+            "--protocol P      token-ring|diffusing|coloring (required)",
+            "--nodes N         instance size (default 4 ring, 7 trees)",
+            "--window W        token-ring window (default 3)",
+            "--colors C        coloring colors (default 3)",
+            "--threads T       certification workers (default 0 = auto)",
+            "--seed S          conformance seed for --conform (default 1)",
+            "--out FILE        write the rendered design",
+            "--journal PATH    synthesis event journal",
+            "--golden FILE     diff against a committed design; exit 2 on drift",
+            "--conform         feed the design through the smoke conformance corpus",
+        ],
+        main,
+    };
 
     fn spec_for(args: &Args) -> Result<SynthSpec, String> {
-        match args.protocol.as_str() {
-            "token-ring" => Ok(specs::token_ring_windowed(
-                args.nodes.unwrap_or(4),
-                args.window.unwrap_or(3),
+        let nodes = args.get("--nodes")?;
+        match args.text("--protocol") {
+            Some("token-ring") => Ok(specs::token_ring_windowed(
+                nodes.unwrap_or(4),
+                args.or("--window", 3)?,
             )),
-            "diffusing" => Ok(specs::diffusing(args.nodes.unwrap_or(7))),
-            "coloring" => Ok(specs::coloring(
-                args.nodes.unwrap_or(7),
-                args.colors.unwrap_or(3),
-            )),
-            other => Err(format!("unknown synth protocol `{other}`")),
+            Some("diffusing") => Ok(specs::diffusing(nodes.unwrap_or(7))),
+            Some("coloring") => Ok(specs::coloring(nodes.unwrap_or(7), args.or("--colors", 3)?)),
+            Some(other) => Err(format!("unknown synth protocol `{other}`")),
+            None => Err("synth needs --protocol token-ring|diffusing|coloring".to_owned()),
         }
     }
 
-    /// A conformance-corpus spec for the synthesized design: the same
-    /// program/goal/constraints the synthesizer certified, with the
-    /// derived `repair.*` actions as the designated repairs.
-    fn corpus_spec(spec: &SynthSpec, out: &SynthResult) -> Result<ProtocolSpec, String> {
-        let program = out.design.program().clone();
-        let goal = compile_predicate(&program, &out.def, "goal", &spec.goal)
-            .map_err(|e| format!("goal does not compile against the design: {e}"))?;
-        let base_count = spec.base.actions.len();
-        let mut constraints = Vec::with_capacity(spec.constraints.len());
-        let mut designated = Vec::with_capacity(spec.constraints.len());
-        for (ci, sc) in spec.constraints.iter().enumerate() {
-            constraints.push(
-                compile_predicate(&program, &out.def, &sc.name, &sc.expr)
-                    .map_err(|e| format!("constraint {}: {e}", sc.name))?,
-            );
-            designated.push((ActionId::from_index(base_count + ci), ci));
-        }
-        Ok(ProtocolSpec {
+    /// A conformance-corpus spec for the synthesized design: the
+    /// program, goal and constraints the synthesizer certified, with each
+    /// constraint's derived `repair.*` action as its designated repair.
+    fn corpus_spec(out: &SynthResult) -> ProtocolSpec {
+        let constraints = out.design.constraints();
+        ProtocolSpec {
             name: format!("synth-{}", out.spec_name),
-            program,
-            goal,
-            constraints,
-            designated,
-        })
-    }
-
-    pub fn main(argv: &[String]) -> ExitCode {
-        let args = match parse(argv) {
-            Ok(args) => args,
-            Err(msg) => {
-                eprintln!("error: {msg}\n\n{}", super::USAGE);
-                return ExitCode::FAILURE;
-            }
-        };
-        match run(&args) {
-            Ok(code) => code,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                ExitCode::FAILURE
-            }
+            program: out.design.program().clone(),
+            goal: out.design.invariant(),
+            constraints: constraints.iter().map(|c| c.predicate().clone()).collect(),
+            designated: constraints
+                .iter()
+                .enumerate()
+                .map(|(i, c)| (c.action(), i))
+                .collect(),
         }
     }
 
-    fn run(args: &Args) -> Result<ExitCode, String> {
+    pub fn main(args: &Args) -> Result<ExitCode, String> {
         let spec = spec_for(args)?;
-        let journal = match &args.journal {
-            Some(path) => nonmask_obs::Journal::to_file(path)
-                .map_err(|e| format!("cannot create {path}: {e}"))?,
-            None => Journal::disabled(),
-        };
+        let journal = journal_at(args.text("--journal"))?;
         let opts = SynthOptions {
-            threads: args.threads,
+            threads: args.or("--threads", 0)?,
             ..SynthOptions::default()
         };
         let out = synthesize(&spec, &opts, &journal).map_err(|e| e.to_string())?;
@@ -1129,15 +804,15 @@ mod synth {
             out.metrics.oracle_calls_unpruned as f64 / out.metrics.oracle_calls.max(1) as f64,
             out.report.summary()
         );
-        if let Some(path) = &args.out {
+        if let Some(path) = args.text("--out") {
             std::fs::write(path, &rendered).map_err(|e| format!("cannot write {path}: {e}"))?;
             eprintln!("design written to {path}");
         }
-        if let Some(path) = &args.journal {
+        if let Some(path) = args.text("--journal") {
             eprintln!("synthesis journal written to {path}");
         }
 
-        if let Some(path) = &args.golden {
+        if let Some(path) = args.text("--golden") {
             let expected = std::fs::read_to_string(path)
                 .map_err(|e| format!("cannot read golden {path}: {e}"))?;
             if rendered != expected {
@@ -1150,9 +825,9 @@ mod synth {
             println!("golden match: {path}");
         }
 
-        if args.conform {
-            let corpus = corpus_spec(&spec, &out)?;
-            let config = CorpusConfig::smoke(args.seed);
+        if args.has("--conform") {
+            let corpus = corpus_spec(&out);
+            let config = CorpusConfig::smoke(args.or("--seed", 1)?);
             println!(
                 "conformance: {} sim + {} net runs of {}",
                 config.sim_runs, config.net_runs, corpus.name
@@ -1210,89 +885,31 @@ mod byzantine {
     use nonmask_program::{Predicate, Program, State};
     use nonmask_protocols::{MinPlusOne, SpanningTree};
 
-    struct Args {
-        protocol: String,
-        nodes: usize,
-        degree: usize,
-        topo_seed: u64,
-        byz: Option<Vec<usize>>,
-        seed: u64,
-        check_nodes: Option<usize>,
-        timeout_ms: u64,
-        out: Option<String>,
-    }
+    use super::{journal_at, Args, Command};
 
-    fn parse(argv: &[String]) -> Result<Args, String> {
-        let mut args = Args {
-            protocol: "bfs".to_owned(),
-            nodes: 64,
-            degree: 3,
-            topo_seed: 1,
-            byz: None,
-            seed: 1,
-            check_nodes: None,
-            timeout_ms: 60_000,
-            out: None,
-        };
-        let mut i = 0;
-        while i < argv.len() {
-            let arg = argv[i].as_str();
-            let mut value = |name: &str| -> Result<String, String> {
-                i += 1;
-                argv.get(i)
-                    .cloned()
-                    .ok_or_else(|| format!("{name} needs a value"))
-            };
-            match arg {
-                "--protocol" => args.protocol = value("--protocol")?,
-                "--nodes" => {
-                    args.nodes = value("--nodes")?
-                        .parse()
-                        .map_err(|e| format!("--nodes: {e}"))?
-                }
-                "--degree" => {
-                    args.degree = value("--degree")?
-                        .parse()
-                        .map_err(|e| format!("--degree: {e}"))?
-                }
-                "--topo-seed" => {
-                    args.topo_seed = value("--topo-seed")?
-                        .parse()
-                        .map_err(|e| format!("--topo-seed: {e}"))?
-                }
-                "--byz" => {
-                    let list = value("--byz")?;
-                    let nodes: Result<Vec<usize>, _> =
-                        list.split(',').map(str::trim).map(str::parse).collect();
-                    args.byz = Some(nodes.map_err(|e| format!("--byz: {e}"))?);
-                }
-                "--seed" => {
-                    args.seed = value("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?
-                }
-                "--check-nodes" => {
-                    args.check_nodes = Some(
-                        value("--check-nodes")?
-                            .parse()
-                            .map_err(|e| format!("--check-nodes: {e}"))?,
-                    )
-                }
-                "--timeout-ms" => {
-                    args.timeout_ms = value("--timeout-ms")?
-                        .parse()
-                        .map_err(|e| format!("--timeout-ms: {e}"))?
-                }
-                "--out" => args.out = Some(value("--out")?),
-                other => return Err(format!("unknown byzantine option `{other}`")),
-            }
-            i += 1;
-        }
-        if args.nodes < 4 {
-            return Err("byzantine needs --nodes >= 4".to_owned());
-        }
-        Ok(args)
-    }
+    pub const COMMAND: Command = Command {
+        name: "byzantine",
+        synopsis: "[options]",
+        operand: None,
+        about: "containment-radius agreement battery: run one Byzantine instance\n\
+                through the simulator and the socket runtime on the same seed,\n\
+                measure the containment radius from each journal's per-node\n\
+                verdicts, and certify the radius with the checker's\n\
+                restricted-region convergence sweep on a small instance of the\n\
+                same family; exit 2 on any radius violation",
+        flags: &[
+            "--protocol P      bfs|spanning-tree (default bfs)",
+            "--nodes N         graph size (default 64, at least 4)",
+            "--degree D        random-graph degree (default 3)",
+            "--topo-seed S     random-graph seed (default 1)",
+            "--byz A,B         comma-separated liar nodes (default nodes/2, nodes-1)",
+            "--seed S          run seed (default 1)",
+            "--check-nodes N   checker instance size (default 6 bfs, 4 spanning-tree)",
+            "--timeout-ms MS   socket-run abort threshold (default 60000)",
+            "--out DIR         write sim/net/small journals and a JSON summary",
+        ],
+        main,
+    };
 
     /// The checker instance is fully enumerated, so its size is capped
     /// per protocol: min+1 has `n+1` values per node, the spanning
@@ -1375,17 +992,14 @@ mod byzantine {
         }
     }
 
-    fn journal_for(out: &Option<String>, name: &str) -> Result<(Journal, Option<String>), String> {
-        match out {
-            Some(dir) => {
-                std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
-                let path = format!("{dir}/{name}.jsonl");
-                let journal =
-                    Journal::to_file(&path).map_err(|e| format!("cannot create {path}: {e}"))?;
-                Ok((journal, Some(path)))
-            }
-            None => Ok((Journal::disabled(), None)),
-        }
+    /// The journal of layer `name` under `out`, and its path.
+    fn journal_for(out: Option<&str>, name: &str) -> Result<(Journal, Option<String>), String> {
+        let Some(dir) = out else {
+            return Ok((Journal::disabled(), None));
+        };
+        std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
+        let path = format!("{dir}/{name}.jsonl");
+        Ok((journal_at(Some(&path))?, Some(path)))
     }
 
     /// Measure one layer's radius: run it, judge the final state, and
@@ -1396,7 +1010,7 @@ mod byzantine {
         journal: &Journal,
     ) -> Result<(u64, State, bool), String> {
         let cfg = SimRunConfig {
-            byzantine: byz_of(&inst.map),
+            byzantine: inst.map.byzantine().to_vec(),
             byzantine_seed: seed,
             ..SimRunConfig::default()
         };
@@ -1420,7 +1034,7 @@ mod byzantine {
         journal: &Journal,
     ) -> Result<(u64, bool), String> {
         let cfg = NetRunConfig {
-            byzantine: byz_of(&inst.map),
+            byzantine: inst.map.byzantine().to_vec(),
             byzantine_seed: seed,
             timeout: Duration::from_millis(timeout_ms),
             ..NetRunConfig::default()
@@ -1432,79 +1046,63 @@ mod byzantine {
         Ok((radius, outcome.stabilized))
     }
 
-    fn byz_of(map: &ContainmentMap) -> Vec<usize> {
-        map.byzantine().to_vec()
-    }
-
-    pub fn main(argv: &[String]) -> ExitCode {
-        let args = match parse(argv) {
-            Ok(args) => args,
-            Err(msg) => {
-                eprintln!("error: {msg}\n\n{}", super::USAGE);
-                return ExitCode::FAILURE;
-            }
-        };
-        match run(&args) {
-            Ok(code) => code,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                ExitCode::FAILURE
-            }
-        }
-    }
-
-    fn run(args: &Args) -> Result<ExitCode, String> {
-        let byz = args.byz.clone().unwrap_or_else(|| default_byz(args.nodes));
-        let topo = Topology::random_connected(args.nodes, args.degree, args.topo_seed);
-        let inst = build(&args.protocol, &topo, &byz)?;
+    /// Print one layer's verdict and measured radius.
+    fn report(layer: &str, stabilized: bool, radius: u64, path: Option<String>) {
         println!(
-            "byzantine {}: {} nodes (degree {}, topo seed {}), liars {:?}, run seed {}",
-            args.protocol, args.nodes, args.degree, args.topo_seed, byz, args.seed
+            "{layer}: safe region {}, measured radius {radius}{}",
+            if stabilized {
+                "stabilized"
+            } else {
+                "DID NOT stabilize"
+            },
+            path.map(|p| format!(" -> {p}")).unwrap_or_default()
+        );
+    }
+
+    pub fn main(args: &Args) -> Result<ExitCode, String> {
+        let protocol = args.text("--protocol").unwrap_or("bfs");
+        let nodes = args.or("--nodes", 64)?;
+        if nodes < 4 {
+            return Err("byzantine needs --nodes >= 4".to_owned());
+        }
+        let degree = args.or("--degree", 3)?;
+        let topo_seed = args.or("--topo-seed", 1)?;
+        let seed = args.or("--seed", 1)?;
+        let out = args.text("--out");
+        let byz = match args.text("--byz") {
+            Some(list) => list
+                .split(',')
+                .map(|b| b.trim().parse())
+                .collect::<Result<Vec<usize>, _>>()
+                .map_err(|e| format!("--byz: {e}"))?,
+            None => default_byz(nodes),
+        };
+        let topo = Topology::random_connected(nodes, degree, topo_seed);
+        let inst = build(protocol, &topo, &byz)?;
+        println!(
+            "byzantine {protocol}: {nodes} nodes (degree {degree}, topo seed {topo_seed}), liars {byz:?}, run seed {seed}"
         );
         println!(
             "predicted containment radius: {}",
             inst.map.predicted_radius
         );
 
-        let (sim_journal, sim_path) = journal_for(&args.out, "sim")?;
-        let (sim_radius, _, sim_ok) = measure_sim(&inst, args.seed, &sim_journal)?;
-        println!(
-            "sim: safe region {}, measured radius {}{}",
-            if sim_ok {
-                "stabilized"
-            } else {
-                "DID NOT stabilize"
-            },
-            sim_radius,
-            sim_path
-                .as_deref()
-                .map(|p| format!(" -> {p}"))
-                .unwrap_or_default()
-        );
+        let (sim_journal, sim_path) = journal_for(out, "sim")?;
+        let (sim_radius, _, sim_ok) = measure_sim(&inst, seed, &sim_journal)?;
+        report("sim", sim_ok, sim_radius, sim_path);
 
-        let (net_journal, net_path) = journal_for(&args.out, "net")?;
-        let (net_radius, net_ok) = measure_net(&inst, args.seed, args.timeout_ms, &net_journal)?;
-        println!(
-            "net: safe region {}, measured radius {}{}",
-            if net_ok {
-                "stabilized"
-            } else {
-                "DID NOT stabilize"
-            },
-            net_radius,
-            net_path
-                .as_deref()
-                .map(|p| format!(" -> {p}"))
-                .unwrap_or_default()
-        );
+        let (net_journal, net_path) = journal_for(out, "net")?;
+        let (net_radius, net_ok) =
+            measure_net(&inst, seed, args.or("--timeout-ms", 60_000)?, &net_journal)?;
+        report("net", net_ok, net_radius, net_path);
 
         // The checker's independent verdict on a small instance of the
         // same family: enumerate the full Byzantine state space (havoc
         // actions included) and sweep the restricted-region goals.
-        let check_nodes = check_nodes_for(&args.protocol, args.check_nodes)?;
+        let check_nodes = check_nodes_for(protocol, args.get("--check-nodes")?)?;
         let small_byz = default_byz(check_nodes);
-        let small_topo = Topology::random_connected(check_nodes, 2, args.topo_seed);
-        let small = build(&args.protocol, &small_topo, &small_byz)?;
+        let small_topo = Topology::random_connected(check_nodes, 2, topo_seed);
+        let small = build(protocol, &small_topo, &small_byz)?;
         let space = StateSpace::enumerate(&small.program)
             .map_err(|e| format!("small-instance enumeration failed: {e}"))?;
         let verdict = certify_containment(
@@ -1520,8 +1118,8 @@ mod byzantine {
             .radius
             .ok_or("no radius converged on the small instance")?;
 
-        let (small_journal, small_path) = journal_for(&args.out, "small")?;
-        let (small_radius, _, small_ok) = measure_sim(&small, args.seed, &small_journal)?;
+        let (small_journal, small_path) = journal_for(out, "small")?;
+        let (small_radius, _, small_ok) = measure_sim(&small, seed, &small_journal)?;
         println!(
             "checker: {} nodes, {} states, certified radius {}; observed small-instance radius {} ({}){}",
             check_nodes,
@@ -1549,18 +1147,13 @@ mod byzantine {
             && sim_radius == inst.map.predicted_radius
             && small_radius == small.map.predicted_radius
             && checker_agrees;
-        if let Some(dir) = &args.out {
+        if let Some(dir) = out {
             let summary = format!(
-                "{{\"protocol\":\"{}\",\"nodes\":{},\"byzantine\":{:?},\"seed\":{},\
+                "{{\"protocol\":\"{protocol}\",\"nodes\":{nodes},\"byzantine\":{byz:?},\"seed\":{seed},\
                  \"predicted_radius\":{},\"sim_radius\":{sim_radius},\"net_radius\":{net_radius},\
-                 \"check_nodes\":{},\"certified_radius\":{certified},\"small_radius\":{small_radius},\
+                 \"check_nodes\":{check_nodes},\"certified_radius\":{certified},\"small_radius\":{small_radius},\
                  \"agree\":{agree}}}\n",
-                args.protocol,
-                args.nodes,
-                byz,
-                args.seed,
                 inst.map.predicted_radius,
-                check_nodes,
             );
             let path = format!("{dir}/summary.json");
             std::fs::write(&path, summary).map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -1572,6 +1165,29 @@ mod byzantine {
         } else {
             eprintln!("RADIUS VIOLATION: sim/net/checker disagree (see above)");
             Ok(ExitCode::from(2))
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every flag line is laid out the way [`declared`] reads it: an
+    /// option (or blanks, for a continuation) in the option column,
+    /// help text from [`FLAG_COLUMN`] on, and no option twice.
+    #[test]
+    fn flag_lines_fill_the_option_column() {
+        for cmd in COMMANDS {
+            let mut seen = std::collections::HashSet::new();
+            for line in cmd.flags {
+                let (head, help) = line.split_at(FLAG_COLUMN);
+                assert!(head.ends_with(' ') && !help.starts_with(' '), "`{line}`");
+                match declared(line) {
+                    Some((name, _)) => assert!(seen.insert(name), "{}: {name} twice", cmd.name),
+                    None => assert!(head.trim().is_empty(), "`{line}`"),
+                }
+            }
         }
     }
 }

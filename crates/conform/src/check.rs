@@ -21,9 +21,9 @@
 use nonmask_checker::oracle::{attribute_constraints, ConstraintAttribution, StepOracle};
 use nonmask_checker::{worst_case_moves, CheckOptions, StateSpace};
 use nonmask_program::Predicate;
+use nonmask_protocols::registry::ProtocolSpec;
 
 use crate::runner::RunOutcome;
-use crate::spec::ProtocolSpec;
 
 /// Checker-side ground truth for one protocol, built once and reused
 /// across every run of the corpus.
@@ -222,10 +222,11 @@ mod tests {
     use super::*;
     use crate::runner::{run_sim, SimRunConfig};
     use crate::schedule::FaultSchedule;
+    use nonmask_protocols::registry::Protocol;
 
     #[test]
     fn oracle_build_validates_the_designations() {
-        let spec = ProtocolSpec::token_ring(3, 3);
+        let spec = Protocol::TokenRing { nodes: 3, k: 3 }.spec();
         let oracle = ProtocolOracle::build(&spec).unwrap();
         assert!(
             oracle.bound.is_some(),
@@ -235,7 +236,7 @@ mod tests {
 
     #[test]
     fn a_mislabeled_designation_is_rejected() {
-        let mut spec = ProtocolSpec::token_ring(3, 3);
+        let mut spec = Protocol::TokenRing { nodes: 3, k: 3 }.spec();
         // Claim pass@1 repairs c.2 — the checker knows better.
         let (action, _) = spec.designated[0];
         spec.designated[0] = (action, 1);
@@ -248,7 +249,7 @@ mod tests {
 
     #[test]
     fn a_clean_run_conforms() {
-        let spec = ProtocolSpec::token_ring(3, 3);
+        let spec = Protocol::TokenRing { nodes: 3, k: 3 }.spec();
         let oracle = ProtocolOracle::build(&spec).unwrap();
         let schedule = FaultSchedule::random(&spec.program, 3, 1, 3, 10);
         let outcome = run_sim(
@@ -266,7 +267,7 @@ mod tests {
 
     #[test]
     fn a_forged_step_is_flagged() {
-        let spec = ProtocolSpec::token_ring(3, 3);
+        let spec = Protocol::TokenRing { nodes: 3, k: 3 }.spec();
         let oracle = ProtocolOracle::build(&spec).unwrap();
         let outcome = run_sim(
             &spec.program,

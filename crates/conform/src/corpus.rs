@@ -13,11 +13,11 @@ use std::time::Duration;
 
 use nonmask_net::{FaultConfig, NetEvent};
 use nonmask_obs::{Event, Journal};
+use nonmask_protocols::registry::{Protocol, ProtocolSpec};
 
 use crate::check::{check_run, ProtocolOracle, RunReport};
 use crate::runner::{run_net, run_sim, NetRunConfig, SimRunConfig};
 use crate::schedule::FaultSchedule;
-use crate::spec::ProtocolSpec;
 
 /// How much corpus to run.
 #[derive(Debug, Clone)]
@@ -194,16 +194,10 @@ impl CorpusReport {
     }
 }
 
-/// The default corpus protocols: the worked designs of the paper that
-/// both execution layers can refine.
-pub fn default_specs() -> Vec<ProtocolSpec> {
-    vec![
-        ProtocolSpec::token_ring(4, 4),
-        ProtocolSpec::diffusing(7),
-        ProtocolSpec::coloring(7, 3),
-        ProtocolSpec::bfs(),
-        ProtocolSpec::spanning_tree(),
-    ]
+/// The specs of the registry's [`Protocol::corpus`]: the worked designs
+/// of the paper that both execution layers can refine.
+pub fn corpus() -> Vec<ProtocolSpec> {
+    Protocol::corpus().iter().map(Protocol::spec).collect()
 }
 
 /// The simulator configuration of corpus run `i`: two clean runs
@@ -327,7 +321,8 @@ pub fn run_corpus(
     Ok(CorpusReport { protocols })
 }
 
-fn emit_verdict(journal: &Journal, layer: &str, protocol: &str, seed: u64, report: &RunReport) {
+/// Journal one run's verdict as an [`Event::Verdict`].
+pub fn emit_verdict(journal: &Journal, layer: &str, protocol: &str, seed: u64, report: &RunReport) {
     journal.emit_with(|| Event::Verdict {
         layer: layer.to_string(),
         protocol: protocol.to_string(),

@@ -20,7 +20,7 @@
 //!   ([`shrink`]) minimizes the seeded fault schedule ([`schedule`]) to
 //!   a 1-minimal reproducing `(protocol, seed, schedule)` triple.
 //!
-//! The fixed-seed corpus ([`corpus`]) sweeps the worked protocols of the
+//! The fixed-seed corpus ([`mod@corpus`]) sweeps the worked protocols of the
 //! paper through both layers; `nonmask-run conform` is the CLI entry.
 
 pub mod check;
@@ -29,16 +29,15 @@ pub mod corpus;
 pub mod runner;
 pub mod schedule;
 pub mod shrink;
-pub mod spec;
 
 pub use check::{check_run, Divergence, ProtocolOracle, RunReport};
 pub use containment::ContainmentMap;
 pub use corpus::{
-    default_specs, run_corpus, CorpusConfig, CorpusReport, ProtocolResult, RunInput, RunRecord,
+    corpus, run_corpus, CorpusConfig, CorpusReport, ProtocolResult, RunInput, RunRecord,
 };
+pub use nonmask_protocols::registry::{Protocol, ProtocolSpec};
 pub use runner::{
     run_net, run_net_journaled, run_sim, run_sim_journaled, NetRunConfig, RunOutcome, SimRunConfig,
 };
 pub use schedule::{FaultSchedule, ScheduleEntry};
 pub use shrink::{ddmin, shrink_schedule};
-pub use spec::ProtocolSpec;

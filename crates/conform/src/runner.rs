@@ -304,11 +304,11 @@ pub fn run_net_journaled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::ProtocolSpec;
+    use nonmask_protocols::registry::Protocol;
 
     #[test]
     fn sim_runs_are_bit_identical_for_the_same_triple() {
-        let spec = ProtocolSpec::token_ring(4, 4);
+        let spec = Protocol::TokenRing { nodes: 4, k: 4 }.spec();
         let schedule = FaultSchedule::random(&spec.program, 4, 3, 4, 12);
         let cfg = SimRunConfig::default();
         let a = run_sim(&spec.program, &spec.goal, 9, &schedule, &cfg).unwrap();
@@ -321,7 +321,7 @@ mod tests {
 
     #[test]
     fn lossy_runs_opt_out_of_the_envelope() {
-        let spec = ProtocolSpec::token_ring(3, 3);
+        let spec = Protocol::TokenRing { nodes: 3, k: 3 }.spec();
         let cfg = SimRunConfig {
             loss_rate: 0.3,
             max_delay: 3,

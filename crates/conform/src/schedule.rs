@@ -144,11 +144,6 @@ impl FaultSchedule {
         self.entries.is_empty()
     }
 
-    /// The round of the last entry, if any.
-    pub fn last_round(&self) -> Option<u64> {
-        self.entries.iter().map(ScheduleEntry::round).max()
-    }
-
     /// Render as text, one entry per line. Round-trips through
     /// [`FaultSchedule::parse`].
     pub fn render(&self) -> String {

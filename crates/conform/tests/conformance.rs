@@ -7,14 +7,13 @@
 //! repairs verified, convergence envelope asserted.
 
 use nonmask_conform::{
-    check_run, default_specs, run_corpus, run_net, CorpusConfig, NetRunConfig, ProtocolOracle,
-    ProtocolSpec,
+    check_run, corpus, run_corpus, run_net, CorpusConfig, NetRunConfig, Protocol, ProtocolOracle,
 };
 use nonmask_obs::{parse_journal, Journal};
 
 #[test]
 fn sim_corpus_has_zero_divergences() {
-    let specs = default_specs();
+    let specs = corpus();
     let config = CorpusConfig {
         base_seed: 100,
         sim_runs: 12,
@@ -50,7 +49,7 @@ fn every_protocol_bound_is_finite() {
     // The envelope check is only meaningful while the checker can bound
     // convergence; both corpus protocols must keep cycle-free repair
     // regions (a regression here would silently skip the envelope).
-    for spec in default_specs() {
+    for spec in corpus() {
         let oracle = ProtocolOracle::build(&spec).expect("oracle");
         assert!(
             oracle.bound.is_some(),
@@ -62,7 +61,7 @@ fn every_protocol_bound_is_finite() {
 
 #[test]
 fn net_layer_conforms_on_a_reliable_run() {
-    let spec = ProtocolSpec::token_ring(3, 3);
+    let spec = Protocol::TokenRing { nodes: 3, k: 3 }.spec();
     let oracle = ProtocolOracle::build(&spec).expect("oracle");
     let outcome = run_net(&spec.program, &spec.goal, 41, &NetRunConfig::default())
         .expect("net infrastructure");

@@ -10,15 +10,27 @@
 #![cfg(feature = "planted-bug")]
 
 use nonmask_conform::{
-    check_run, run_sim, shrink_schedule, FaultSchedule, ProtocolOracle, ProtocolSpec, SimRunConfig,
+    check_run, run_sim, shrink_schedule, FaultSchedule, Protocol, ProtocolOracle, ProtocolSpec,
+    SimRunConfig,
 };
-use nonmask_program::Predicate;
+use nonmask_graph::Topology;
+use nonmask_program::{Predicate, Program};
+use nonmask_protocols::spanning_tree::planted_trusting_mutant;
+use nonmask_protocols::token_ring::TokenRing;
 
-fn harness() -> (ProtocolSpec, nonmask_program::Program, ProtocolOracle) {
-    let spec = ProtocolSpec::token_ring(4, 4);
-    let mutant = ProtocolSpec::token_ring_mutant_program(4, 4);
+fn harness() -> (ProtocolSpec, Program, ProtocolOracle) {
+    let spec = Protocol::TokenRing { nodes: 4, k: 4 }.spec();
+    let mutant = TokenRing::planted_mutant(4, 4).program().clone();
     let oracle = ProtocolOracle::build(&spec).expect("oracle");
     (spec, mutant, oracle)
+}
+
+/// The healthy spanning-tree spec on the corpus 4-ring and the mutant in
+/// which node 2 trusts node 1 as its parent unconditionally.
+fn trusting_parent_harness() -> (ProtocolSpec, Program) {
+    let spec = Protocol::SpanningTree { nodes: 4 }.spec();
+    let mutant = planted_trusting_mutant(&Topology::ring(4), 0, 2, 1);
+    (spec, mutant)
 }
 
 /// Fixed horizon so the token always revisits the mutated root action.
@@ -95,8 +107,7 @@ fn the_schedule_shrinks_to_at_most_five_events_and_replays_deterministically() {
 /// neighbor is strictly closer to the root.
 #[test]
 fn the_trusting_parent_mutant_is_detected_as_a_wrong_effect() {
-    let spec = ProtocolSpec::spanning_tree();
-    let mutant = ProtocolSpec::spanning_tree_mutant_program(2, 1);
+    let (spec, mutant) = trusting_parent_harness();
     let oracle = ProtocolOracle::build(&spec).expect("oracle");
     let (never, cfg) = horizon_cfg();
     let outcome = run_sim(&mutant, &never, 1, &FaultSchedule::empty(), &cfg).unwrap();
@@ -112,8 +123,7 @@ fn the_trusting_parent_mutant_is_detected_as_a_wrong_effect() {
 
 #[test]
 fn the_trusting_parent_schedule_shrinks_and_replays_deterministically() {
-    let spec = ProtocolSpec::spanning_tree();
-    let mutant = ProtocolSpec::spanning_tree_mutant_program(2, 1);
+    let (spec, mutant) = trusting_parent_harness();
     let oracle = ProtocolOracle::build(&spec).expect("oracle");
     let (never, cfg) = horizon_cfg();
     let seed = 4;

@@ -15,8 +15,7 @@ use std::sync::OnceLock;
 use nonmask_checker::{worst_case_moves, CheckOptions, StateSpace};
 use nonmask_program::{Predicate, Program};
 
-use crate::config::FleetProtocol;
-use crate::FleetError;
+use crate::{FleetError, FleetProtocol};
 
 /// The cached checker verdict of one configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,11 +41,11 @@ pub struct ConfigRuntime {
 
 impl ConfigRuntime {
     fn new(protocol: &FleetProtocol) -> Self {
-        let (program, goal) = protocol.build();
+        let spec = protocol.spec();
         ConfigRuntime {
-            key: protocol.key(),
-            program,
-            goal,
+            key: spec.name,
+            program: spec.program,
+            goal: spec.goal,
             verdict: OnceLock::new(),
         }
     }

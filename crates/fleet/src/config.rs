@@ -1,106 +1,7 @@
 //! Fleet configuration: which protocol instances run, how many tenants,
 //! and how they are scheduled.
 
-use nonmask_program::{Predicate, Program};
-use nonmask_protocols::coloring::TreeColoring;
-use nonmask_protocols::diffusing::DiffusingComputation;
-use nonmask_protocols::token_ring::TokenRing;
-use nonmask_protocols::Tree;
-
-/// A protocol configuration a tenant can run — the `(protocol,
-/// parameters)` pair that keys the [verdict cache](crate::VerdictCache).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FleetProtocol {
-    /// Dijkstra's K-state token ring (`nodes` processes, counter
-    /// modulus `k`).
-    TokenRing {
-        /// Ring size.
-        nodes: usize,
-        /// Counter modulus (`k >= nodes` for self-stabilization).
-        k: i64,
-    },
-    /// Diffusing computation on a binary tree of `nodes` nodes.
-    Diffusing {
-        /// Tree size.
-        nodes: usize,
-    },
-    /// Tree coloring on a binary tree of `nodes` nodes with `colors`
-    /// colors.
-    Coloring {
-        /// Tree size.
-        nodes: usize,
-        /// Number of colors.
-        colors: i64,
-    },
-}
-
-impl FleetProtocol {
-    /// The cache key: protocol name plus parameters, stable across runs.
-    pub fn key(&self) -> String {
-        match self {
-            FleetProtocol::TokenRing { nodes, k } => format!("token-ring-{nodes}x{k}"),
-            FleetProtocol::Diffusing { nodes } => format!("diffusing-{nodes}"),
-            FleetProtocol::Coloring { nodes, colors } => format!("coloring-{nodes}c{colors}"),
-        }
-    }
-
-    /// Build the program and goal predicate for this configuration.
-    pub(crate) fn build(&self) -> (Program, Predicate) {
-        match *self {
-            FleetProtocol::TokenRing { nodes, k } => {
-                let ring = TokenRing::new(nodes, k);
-                (ring.program().clone(), ring.invariant())
-            }
-            FleetProtocol::Diffusing { nodes } => {
-                let tree = Tree::binary(nodes);
-                let dc = DiffusingComputation::new(&tree);
-                (dc.program().clone(), dc.invariant())
-            }
-            FleetProtocol::Coloring { nodes, colors } => {
-                let tree = Tree::binary(nodes);
-                let col = TreeColoring::new(&tree, colors);
-                (col.program().clone(), col.invariant())
-            }
-        }
-    }
-
-    /// Eight distinct small token-ring configurations (3–5 nodes).
-    ///
-    /// The benchmark default: every instance keeps at most five
-    /// variables, so per-tenant storage (state slots + metadata) stays
-    /// within the 64-byte budget, and eight distinct cache keys exercise
-    /// the verdict cache's miss path more than once.
-    pub fn ring_mix() -> Vec<FleetProtocol> {
-        [
-            (3, 3),
-            (4, 4),
-            (5, 5),
-            (4, 5),
-            (5, 4),
-            (3, 4),
-            (4, 3),
-            (5, 6),
-        ]
-        .into_iter()
-        .map(|(nodes, k)| FleetProtocol::TokenRing { nodes, k })
-        .collect()
-    }
-
-    /// A heterogeneous mix: rings plus tree protocols. Larger per-tenant
-    /// state (the arena stride follows the widest program), but all
-    /// three protocol families share one fleet.
-    pub fn mixed() -> Vec<FleetProtocol> {
-        vec![
-            FleetProtocol::TokenRing { nodes: 4, k: 4 },
-            FleetProtocol::TokenRing { nodes: 5, k: 5 },
-            FleetProtocol::Diffusing { nodes: 7 },
-            FleetProtocol::Coloring {
-                nodes: 7,
-                colors: 3,
-            },
-        ]
-    }
-}
+use crate::FleetProtocol;
 
 /// Configuration of a fleet run (see [`run_fleet`](crate::run_fleet)).
 ///
@@ -150,30 +51,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn keys_encode_parameters() {
-        assert_eq!(
-            FleetProtocol::TokenRing { nodes: 4, k: 5 }.key(),
-            "token-ring-4x5"
-        );
-        assert_eq!(FleetProtocol::Diffusing { nodes: 7 }.key(), "diffusing-7");
-        assert_eq!(
-            FleetProtocol::Coloring {
-                nodes: 7,
-                colors: 3
-            }
-            .key(),
-            "coloring-7c3"
-        );
-    }
-
-    #[test]
     fn ring_mix_is_distinct_and_small() {
         let mix = FleetProtocol::ring_mix();
         assert_eq!(mix.len(), 8);
         let keys: std::collections::HashSet<_> = mix.iter().map(FleetProtocol::key).collect();
         assert_eq!(keys.len(), 8, "cache keys must be distinct");
         for p in &mix {
-            let (program, _) = p.build();
+            let program = p.spec().program;
             assert!(program.var_count() <= 5, "{}: too wide for 64 B", p.key());
         }
     }

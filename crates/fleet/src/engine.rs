@@ -369,7 +369,7 @@ pub fn run_fleet(config: &FleetConfig, journal: &Journal) -> Result<FleetReport,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::FleetProtocol;
+    use crate::FleetProtocol;
 
     #[test]
     fn tenant_meta_fits_the_budget() {

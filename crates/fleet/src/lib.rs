@@ -50,9 +50,13 @@ mod hist;
 mod report;
 
 pub use cache::{ConfigRuntime, Verdict, VerdictCache};
-pub use config::{FleetConfig, FleetProtocol};
+pub use config::FleetConfig;
 pub use engine::run_fleet;
 pub use hist::LatencyHistogram;
+/// A tenant's protocol configuration: the protocol registry's
+/// [`Protocol`](nonmask_protocols::registry::Protocol), whose key keys
+/// the [verdict cache](VerdictCache).
+pub use nonmask_protocols::registry::Protocol as FleetProtocol;
 pub use report::{ConfigReport, FleetReport};
 
 /// Errors a fleet run can produce.

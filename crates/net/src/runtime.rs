@@ -165,6 +165,13 @@ pub enum NetError {
     TooManyVars(usize),
     /// An event references a node outside the process range.
     BadEvent(String),
+    /// A [`FaultConfig`] probability is NaN or outside `[0, 1]`.
+    BadFaultRate {
+        /// The offending field (`drop_rate`, `corrupt_rate`, ...).
+        field: &'static str,
+        /// Its value.
+        rate: f64,
+    },
     /// Socket setup failed.
     Io(io::Error),
     /// A shard worker thread died (panicked) instead of running its
@@ -190,6 +197,12 @@ impl std::fmt::Display for NetError {
                 )
             }
             NetError::BadEvent(msg) => write!(f, "bad event: {msg}"),
+            NetError::BadFaultRate { field, rate } => {
+                write!(
+                    f,
+                    "fault rate {field} = {rate} is not a probability in [0, 1]"
+                )
+            }
             NetError::Io(e) => write!(f, "socket setup failed: {e}"),
             NetError::ControlLoopFailed(msg) => {
                 write!(f, "a node worker thread died: {msg}")
@@ -400,6 +413,17 @@ fn validate(
         let owned = refinement.vars_of(p).len();
         if owned * 12 + 128 > MAX_PAYLOAD {
             return Err(NetError::TooManyVars(owned));
+        }
+    }
+    let faults = &config.faults;
+    for (field, rate) in [
+        ("drop_rate", faults.drop_rate),
+        ("corrupt_rate", faults.corrupt_rate),
+        ("duplicate_rate", faults.duplicate_rate),
+        ("delay_rate", faults.delay_rate),
+    ] {
+        if !(0.0..=1.0).contains(&rate) {
+            return Err(NetError::BadFaultRate { field, rate });
         }
     }
     for event in &config.events {

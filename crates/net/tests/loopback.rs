@@ -279,6 +279,45 @@ fn unrefinable_or_oversized_inputs_error_cleanly() {
     assert!(matches!(err, NetError::BadEvent(_)), "{err}");
 }
 
+/// Every fault rate is a probability: NaN or anything outside `[0, 1]`
+/// is a typed error before the run starts, never a worker panic or a
+/// silently fault-free run.
+#[test]
+fn fault_rates_outside_the_unit_interval_are_rejected_up_front() {
+    use nonmask_net::NetError;
+    use nonmask_obs::Journal;
+
+    let ring = TokenRing::new(3, 3);
+    let initial = ring.initial_state();
+    for name in ["drop_rate", "corrupt_rate", "duplicate_rate", "delay_rate"] {
+        for rate in [1.5, -0.1, f64::NAN, f64::INFINITY] {
+            let (journal, buffer) = Journal::memory();
+            let mut config = NetConfig {
+                journal,
+                ..NetConfig::default()
+            };
+            let faults = &mut config.faults;
+            *match name {
+                "drop_rate" => &mut faults.drop_rate,
+                "corrupt_rate" => &mut faults.corrupt_rate,
+                "duplicate_rate" => &mut faults.duplicate_rate,
+                _ => &mut faults.delay_rate,
+            } = rate;
+            let err = run(ring.program(), &initial, &ring.invariant(), &config).unwrap_err();
+            assert!(
+                matches!(err, NetError::BadFaultRate { field, .. } if field == name),
+                "{name} = {rate}: {err}"
+            );
+            assert!(err.to_string().contains(name), "{err}");
+            config.journal.flush();
+            assert!(
+                buffer.contents().is_empty(),
+                "{name} = {rate}: the run started"
+            );
+        }
+    }
+}
+
 /// A journaled run records the controller's view — hello frames, the
 /// detector episode lifecycle, and final per-node counters — and the
 /// journal parses back schema-clean.

@@ -29,6 +29,7 @@ pub mod atomic;
 pub mod bfs;
 pub mod coloring;
 pub mod diffusing;
+pub mod registry;
 pub mod reset;
 pub mod spanning_tree;
 pub mod three_state;

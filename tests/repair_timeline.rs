@@ -1,6 +1,6 @@
 //! End-to-end: a journaled checker run over the token ring produces a
 //! constraint-repair timeline whose order matches an independent replay
-//! of the witness path from [`shortest_path_to`].
+//! of the witness path from [`repair_path`].
 //!
 //! This is the §4 story closed end to end: the checker finds a witness
 //! computation from a corrupted state into the all-agree states, the
@@ -8,30 +8,19 @@
 //! through the same schema the `trace` subcommand uses — tells exactly
 //! the same story as evaluating the constraints over the path by hand.
 
-use nonmask_checker::convergence::shortest_path_to;
-use nonmask_checker::{replay_constraints, CheckOptions, StateSpace};
+use nonmask_checker::{repair_path, replay_constraints, CheckOptions, StateSpace};
 use nonmask_conform::{run_sim_journaled, ContainmentMap, FaultSchedule, SimRunConfig};
 use nonmask_graph::Topology;
 use nonmask_obs::{containment_radius, parse_journal, render_timeline, repair_order, Journal};
-use nonmask_program::{Predicate, State};
-use nonmask_protocols::token_ring::TokenRing;
+use nonmask_protocols::registry::Protocol;
 use nonmask_protocols::MinPlusOne;
 
 #[test]
 fn journaled_repair_timeline_matches_independent_replay() {
-    let n = 4usize;
-    let k = 4i64;
-    let ring = TokenRing::new(n, k);
-    let program = ring.program();
-
-    // §4 decomposition of the ring invariant: c.j ≡ `x.j = x.(j-1)`.
-    let constraints: Vec<Predicate> = (1..n)
-        .map(|j| {
-            let xj = ring.counter_var(j);
-            let xp = ring.counter_var(j - 1);
-            Predicate::new(format!("c.{j}"), [xj, xp], move |s| s.get(xj) == s.get(xp))
-        })
-        .collect();
+    let (n, k) = (4usize, 4i64);
+    // The registry's §4 decomposition of the ring: c.j ≡ `x.j = x.(j-1)`.
+    let spec = Protocol::TokenRing { nodes: n, k }.spec();
+    let (program, constraints) = (&spec.program, &spec.constraints);
 
     let (journal, buffer) = Journal::memory();
     let opts = CheckOptions::default();
@@ -41,23 +30,10 @@ fn journaled_repair_timeline_matches_independent_replay() {
     let corrupt = program
         .state_from((0..n).map(|j| ((n - j) as i64) % k).collect::<Vec<_>>())
         .expect("corrupt state");
-    let all_vars: Vec<_> = program.var_ids().collect();
-    let corrupt_eq = corrupt.clone();
-    let from = Predicate::new("corrupt-start", all_vars.clone(), move |s| *s == corrupt_eq);
-    let agree = Predicate::new("all-agree", all_vars, {
-        let constraints = constraints.clone();
-        move |s| constraints.iter().all(|c| c.holds(s))
-    });
-    let targets: Vec<State> = space
-        .satisfying(&agree)
-        .expect("target scan")
-        .into_iter()
-        .map(|id| space.state(id))
-        .collect();
-    let path = shortest_path_to(&space, &from, &targets)
+    let path = repair_path(&space, program, &corrupt, constraints)
         .expect("path search")
         .expect("a corrupt token ring converges, so a witness path exists");
-    let transitions = replay_constraints(program, &path, &constraints, &journal);
+    let transitions = replay_constraints(program, &path, constraints, &journal);
     journal.flush();
 
     // Independent replay: evaluate the constraints over the path states
