@@ -196,6 +196,20 @@ impl Bitset {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
+    /// Number of states in both sets, without building the intersection.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ.
+    pub fn and_count(&self, other: &Bitset) -> usize {
+        assert_eq!(self.len, other.len, "bitset length mismatch");
+        self.words
+            .iter()
+            .zip(&other.words)
+            .map(|(a, b)| (a & b).count_ones() as usize)
+            .sum()
+    }
+
     /// Iterate the member indices in ascending order.
     pub fn iter_ones(&self) -> OnesIter<'_> {
         OnesIter {
@@ -363,6 +377,7 @@ mod tests {
         let a = Bitset::from_fn(130, CheckOptions::serial(), |i| i % 2 == 0).unwrap();
         let b = Bitset::from_fn(130, CheckOptions::serial(), |i| i % 3 == 0).unwrap();
         let both = a.and(&b);
+        assert_eq!(a.and_count(&b), both.count_ones());
         let neither = a.not().and(&b.not());
         for i in 0..130 {
             assert_eq!(both.get(i), i % 6 == 0);

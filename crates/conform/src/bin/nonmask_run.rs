@@ -737,7 +737,7 @@ mod synth {
             "--nodes N         instance size (default 4 ring, 7 trees)",
             "--window W        token-ring window (default 3)",
             "--colors C        coloring colors (default 3)",
-            "--threads T       certification workers (default 0 = auto)",
+            "--threads T       evaluation workers (default 0 = auto)",
             "--seed S          conformance seed for --conform (default 1)",
             "--out FILE        write the rendered design",
             "--journal PATH    synthesis event journal",
@@ -784,7 +784,6 @@ mod synth {
         let journal = journal_at(args.text("--journal"))?;
         let opts = SynthOptions {
             threads: args.or("--threads", 0)?,
-            ..SynthOptions::default()
         };
         let out = synthesize(&spec, &opts, &journal).map_err(|e| e.to_string())?;
         journal.flush();

@@ -19,6 +19,10 @@ enum CExpr {
     Bin(BinOp, Box<CExpr>, Box<CExpr>),
 }
 
+/// Assignments per action whose simultaneous values are buffered on the
+/// stack; longer assignment lists spill to the heap.
+const INLINE_ASSIGNS: usize = 8;
+
 fn truthy(v: i64) -> bool {
     v != 0
 }
@@ -29,6 +33,10 @@ fn eval(e: &CExpr, s: &State) -> i64 {
         CExpr::Var(id) => s.get(*id),
         CExpr::Not(inner) => (!truthy(eval(inner, s))) as i64,
         CExpr::Neg(inner) => -eval(inner, s),
+        // `eval` is pure and total, so skipping the right operand never
+        // changes a result.
+        CExpr::Bin(BinOp::And, l, r) => (truthy(eval(l, s)) && truthy(eval(r, s))) as i64,
+        CExpr::Bin(BinOp::Or, l, r) => (truthy(eval(l, s)) || truthy(eval(r, s))) as i64,
         CExpr::Bin(op, l, r) => {
             let (a, b) = (eval(l, s), eval(r, s));
             match op {
@@ -59,8 +67,7 @@ fn eval(e: &CExpr, s: &State) -> i64 {
                 BinOp::Le => (a <= b) as i64,
                 BinOp::Gt => (a > b) as i64,
                 BinOp::Ge => (a >= b) as i64,
-                BinOp::And => (truthy(a) && truthy(b)) as i64,
-                BinOp::Or => (truthy(a) || truthy(b)) as i64,
+                BinOp::And | BinOp::Or => unreachable!("short-circuited above"),
             }
         }
     }
@@ -274,11 +281,21 @@ fn compile_inner(def: &ProgramDef, tag_processes: bool) -> Result<Program, LangE
             },
             move |s: &mut State| {
                 // Simultaneous assignment: evaluate every RHS against the
-                // pre-state, then write.
-                let values: Vec<(VarId, i64)> =
-                    assigns.iter().map(|(t, e)| (*t, eval(e, s))).collect();
-                for (t, v) in values {
-                    s.set(t, v);
+                // pre-state, then write. Up to `INLINE_ASSIGNS` values sit
+                // on the stack, so applying an effect allocates nothing.
+                let mut inline = [0i64; INLINE_ASSIGNS];
+                let mut spilled = Vec::new();
+                let values: &mut [i64] = if assigns.len() <= INLINE_ASSIGNS {
+                    &mut inline[..assigns.len()]
+                } else {
+                    spilled.resize(assigns.len(), 0);
+                    &mut spilled
+                };
+                for (v, (_, e)) in values.iter_mut().zip(assigns.iter()) {
+                    *v = eval(e, s);
+                }
+                for (&v, (t, _)) in values.iter().zip(assigns.iter()) {
+                    s.set(*t, v);
                 }
             },
         ));
@@ -364,6 +381,21 @@ mod tests {
         let a = p.action_ids().next().unwrap();
         p.action(a).apply(&mut s);
         assert_eq!(s.slots(), &[7, 3], "swap, not overwrite");
+
+        // Past the stack buffer the values spill, still simultaneously:
+        // a ten-variable rotation.
+        let vars: Vec<String> = (0..10).map(|i| format!("x{i} : 0..9")).collect();
+        let assigns: Vec<String> = (0..10)
+            .map(|i| format!("x{i} := x{}", (i + 9) % 10))
+            .collect();
+        let p = compile(&format!(
+            "program rot var {} action r : true -> {}",
+            vars.join("; "),
+            assigns.join(", ")
+        ));
+        let mut s = p.state_from((0..10).collect::<Vec<i64>>()).unwrap();
+        p.action(p.action_ids().next().unwrap()).apply(&mut s);
+        assert_eq!(s.slots(), &[9, 0, 1, 2, 3, 4, 5, 6, 7, 8]);
     }
 
     #[test]

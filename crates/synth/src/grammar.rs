@@ -8,10 +8,10 @@
 //! effects over every domain-safe single-variable repair (copies,
 //! rotations, constants).
 //!
-//! Candidates are plain [`ActionDef`]s compiled alongside the base
-//! program into one *pooled* program, so a single state-space enumeration
-//! and one attribution sweep cover the whole space (see
-//! [`search`](crate::search)).
+//! Candidates are plain [`ActionDef`]s over a full guards × effects
+//! product, so [`search`](crate::search) evaluates each distinct guard
+//! and each distinct effect once per state and judges every candidate
+//! from those evaluations.
 
 use nonmask_lang::{ActionDef, BinOp, DomainDef, Expr, ProgramDef};
 use nonmask_program::ActionKind;

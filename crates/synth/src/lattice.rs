@@ -1,7 +1,7 @@
 //! The constraint implication lattice: deriving Theorem 3's hierarchical
 //! partition from extensions alone.
 //!
-//! Over the pooled state space each constraint is a [`Bitset`]; strict
+//! Over the spec's state space each constraint is a [`Bitset`]; strict
 //! extension inclusion `ext(c.i) ⊂ ext(c.j)` means `c.i` *implies* `c.j`
 //! — `c.j` is the weaker constraint and must be established first, so it
 //! belongs to a strictly lower layer. The layer of a constraint is the

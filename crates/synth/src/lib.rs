@@ -18,17 +18,20 @@
 //!    inclusion. Strict implication chains become the hierarchical
 //!    partition of Theorem 3 (e.g. the token ring's `x.(j-1) = x.j`
 //!    constraints sit strictly above the `x.(j-1) ≥ x.j` layer).
-//! 3. **Prune** ([`search`]) — one
-//!    [`attribute_constraints`](nonmask_checker::attribute_constraints)
-//!    sweep over a *pooled* state space (base program + every candidate)
-//!    hard-prunes candidates that do not repair their constraint, exit
-//!    the goal, or break a strictly lower layer.
-//! 4. **Certify** — each survivor runs a per-candidate oracle battery
-//!    (guard coverage of the required repair region, goal preservation,
-//!    lower-layer preservation under the Theorem 3 assumption),
-//!    distributed over worker threads with
-//!    [`steal_tasks`](nonmask_checker::steal_tasks); verdicts are
-//!    bit-identical for every thread count and chunk size.
+//! 3. **Prune** ([`search`]) — every candidate is a (guard, effect)
+//!    pair, so each distinct guard is evaluated once per state in one
+//!    [`Bitset::for_predicates`](nonmask_checker::Bitset::for_predicates)
+//!    decode pass, and each distinct effect's successor column comes from
+//!    one enumeration of an *effect program* (one always-enabled action
+//!    per effect). Word-wise bitset tests on the guard and the effect's
+//!    post-images then hard-prune candidates that do not repair their
+//!    constraint, exit the goal, or break a strictly lower layer. No
+//!    transition relation with one action per candidate is ever built.
+//! 4. **Certify** — each survivor runs its oracle battery (guard
+//!    coverage of the required repair region, goal preservation,
+//!    lower-layer preservation under the Theorem 3 assumption) as bitset
+//!    tests over the same evaluations, in a plain loop; verdicts are
+//!    bit-identical for every thread count.
 //! 5. **Select & verify** — the cheapest certified candidate per
 //!    constraint (fewest *extra* enabled states beyond the required
 //!    region, then lowest grammar index) is assembled into a
@@ -63,7 +66,8 @@ use nonmask_lang::LangError;
 pub enum SynthError {
     /// The spec's expressions failed to compile against its program.
     Lang(LangError),
-    /// Enumerating the pooled state space failed (e.g. budget exceeded).
+    /// Enumerating the effect program's state space failed (e.g. budget
+    /// exceeded, or an effect writes outside a domain).
     Space(SpaceError),
     /// A checker sweep failed.
     Check(CheckError),
@@ -94,7 +98,7 @@ impl std::fmt::Display for SynthError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SynthError::Lang(e) => write!(f, "spec compilation failed: {e}"),
-            SynthError::Space(e) => write!(f, "pooled enumeration failed: {e}"),
+            SynthError::Space(e) => write!(f, "effect enumeration failed: {e}"),
             SynthError::Check(e) => write!(f, "checker sweep failed: {e}"),
             SynthError::Design(e) => write!(f, "design assembly failed: {e}"),
             SynthError::Layering(e) => write!(f, "derived layering rejected: {e}"),

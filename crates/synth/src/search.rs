@@ -1,28 +1,32 @@
-//! The synthesis pipeline: pooled enumeration → implication lattice →
-//! attribution prune → work-stealing certification → selection → final
+//! The synthesis pipeline: factored evaluation → implication lattice →
+//! attribution prune → certification battery → selection → final
 //! verification.
 //!
-//! Everything downstream of the grammar runs against **one** pooled state
-//! space (the base program plus every candidate action), so the whole
-//! candidate space costs a single enumeration and a single
-//! [`attribute_constraints`] sweep; only the survivors pay per-candidate
-//! oracle batteries. The battery is distributed over worker threads with
-//! [`steal_tasks`], and every verdict, metric, and journal record is
-//! bit-identical across thread counts and chunk sizes: workers only
-//! compute, the main thread journals in a fixed phase order, and
-//! certification never consults wall-clock state.
+//! Every candidate is a pair (guard `g`, effect `e`) from its
+//! constraint's grammar, so nothing downstream of the grammar needs a
+//! transition relation with one action per candidate. Instead each
+//! distinct guard, constraint, goal and trigger is evaluated once per
+//! state in one decode pass, and each distinct effect's successor column
+//! comes from one enumeration of an *effect program* (one always-enabled
+//! action per effect). From those columns every effect gets its
+//! post-images — where its successor violates its own constraint, or
+//! leaves the goal or a lower constraint — and the attribution prune and
+//! the certification battery become word-wise tests on `g`, the
+//! post-images and the predicate caches. Every verdict, metric and
+//! journal record is bit-identical across thread counts: the parallel
+//! passes are the checker's thread-invariant ones, the main thread
+//! journals in a fixed phase order, and certification never consults
+//! wall-clock state.
 
 use nonmask::{CheckOptions, Design, DesignBuilder, ToleranceReport};
-use nonmask_checker::{
-    attribute_constraints, preserves_given_bits, steal_tasks, Bitset, CheckError, StateSpace,
-};
+use nonmask_checker::{Bitset, CheckError, StateId, StateSpace};
 use nonmask_graph::{ConstraintRef, Layering, NodePartition};
-use nonmask_lang::{compile_def_with_processes, compile_predicate, ProgramDef};
+use nonmask_lang::{compile_def_with_processes, compile_predicate, ActionDef, Expr, ProgramDef};
 use nonmask_obs::{Event, Journal};
-use nonmask_program::ActionId;
+use nonmask_program::{ActionId, ActionKind, Predicate};
 
 use crate::grammar::{self, Candidate, SynthSpec};
-use crate::lattice::classify;
+use crate::lattice::{classify, ImplicationLattice};
 use crate::SynthError;
 
 /// How many candidate combinations the final-verification fallback may
@@ -32,22 +36,12 @@ use crate::SynthError;
 /// slower search instead of a hard failure.
 const MAX_ATTEMPTS: usize = 16;
 
-/// Tuning knobs for [`synthesize`]. Neither affects any result bit.
-#[derive(Debug, Clone, Copy)]
+/// Tuning knobs for [`synthesize`]. None affects any result bit.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SynthOptions {
-    /// Worker threads for every sweep; `0` auto-detects.
+    /// Worker threads for the predicate-decode and effect-enumeration
+    /// passes; `0` auto-detects.
     pub threads: usize,
-    /// Survivors per work-stealing certification task.
-    pub chunk: usize,
-}
-
-impl Default for SynthOptions {
-    fn default() -> Self {
-        SynthOptions {
-            threads: 0,
-            chunk: 8,
-        }
-    }
 }
 
 /// The synthesized repair for one constraint.
@@ -69,7 +63,7 @@ pub struct ChosenAction {
 /// Work accounting for the prune-vs-enumerate comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SynthMetrics {
-    /// States in the pooled space.
+    /// States in the spec's state space.
     pub states: u64,
     /// Candidates the grammar produced.
     pub candidates: u64,
@@ -77,12 +71,17 @@ pub struct SynthMetrics {
     pub survivors: u64,
     /// Survivors that passed the certification battery.
     pub certified: u64,
-    /// Full-space oracle sweeps actually spent on certification.
+    /// Oracle queries spent on certification: per survivor, one
+    /// guard-coverage query, one goal-preservation query and one
+    /// preservation query per strictly lower constraint. Each is a
+    /// bitset test over the cached post-images, not a sweep of a
+    /// transition relation.
     pub oracle_calls: u64,
-    /// Sweeps the same battery would cost without the attribution prune
+    /// Queries the same battery would cost without the attribution prune
     /// (every candidate pays its full battery).
     pub oracle_calls_unpruned: u64,
-    /// Attribution sweeps over the pooled space (always 1).
+    /// Attribution passes over the space (always 1: the prune reads the
+    /// one shared guard and effect evaluation).
     pub attribution_sweeps: u64,
     /// Final-verification attempts (1 = first selection verified).
     pub verify_attempts: u64,
@@ -142,13 +141,239 @@ impl SynthResult {
     }
 }
 
-/// Per-survivor battery verdict.
-#[derive(Debug, Clone, Copy)]
+/// One candidate's certification battery verdict.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Verdict {
     flat: usize,
+    /// The guard covers the constraint's required repair region.
+    covered: bool,
     certified: bool,
     extras: u64,
     calls: u64,
+}
+
+/// What one grammar effect does to the spec's predicates, one bit per
+/// state of the space.
+struct EffectImage {
+    /// States whose successor violates the effect's own constraint.
+    misses_own: Bitset,
+    /// Goal states whose successor leaves the goal.
+    exits_goal: Bitset,
+    /// Per strictly lower constraint (in [`ImplicationLattice::lower`]
+    /// order): states in it whose successor leaves it.
+    exits_lower: Vec<Bitset>,
+}
+
+/// Everything the attribution prune and the certification battery read,
+/// each evaluated once per state: the predicate caches, one bitset per
+/// distinct guard and the post-images of every distinct effect.
+struct Evaluation {
+    states: usize,
+    /// Complement of each constraint cache.
+    not_c: Vec<Bitset>,
+    lat: ImplicationLattice,
+    /// Strictly lower constraints per constraint.
+    lower: Vec<Vec<usize>>,
+    /// Required repair region per constraint.
+    required: Vec<Bitset>,
+    /// Theorem 3 assumption per layer: outside the goal, lower layers
+    /// hold.
+    assuming: Vec<Bitset>,
+    /// One cache per distinct guard, keyed `guard_base[ci] + gi`.
+    guards: Vec<Bitset>,
+    guard_base: Vec<usize>,
+    /// One image per distinct effect, keyed `effect_base[ci] + ei`.
+    effects: Vec<EffectImage>,
+    effect_base: Vec<usize>,
+}
+
+impl Evaluation {
+    /// Evaluate every distinct guard and effect of `flat` (the grammar's
+    /// candidates, constraint-major and guard-major within a constraint).
+    fn new(spec: &SynthSpec, flat: &[Candidate], opts: CheckOptions) -> Result<Self, SynthError> {
+        let k = spec.constraints.len();
+        // Distinct guards and effects keyed `(constraint, index)`: the
+        // grammar is a full product, so the effect-0 candidates list
+        // every guard and the guard-0 candidates every effect, in order.
+        let mut guard_exprs: Vec<&Expr> = Vec::new();
+        let mut effect_defs: Vec<ActionDef> = Vec::new();
+        let mut effect_owner: Vec<usize> = Vec::new();
+        let (mut guard_base, mut effect_base) = (vec![0; k], vec![0; k]);
+        for cand in flat {
+            let ci = cand.constraint;
+            if cand.guard_index == 0 && cand.effect_index == 0 {
+                guard_base[ci] = guard_exprs.len();
+                effect_base[ci] = effect_defs.len();
+            }
+            if cand.effect_index == 0 {
+                guard_exprs.push(&cand.action.guard);
+            }
+            if cand.guard_index == 0 {
+                effect_owner.push(ci);
+                effect_defs.push(ActionDef {
+                    name: format!("effect.{ci}.e{}", cand.effect_index),
+                    kind: ActionKind::Convergence,
+                    guard: Expr::Bool(true),
+                    assigns: cand.action.assigns.clone(),
+                    line: 0,
+                });
+            }
+        }
+
+        // The effect program: the spec's variables and one always-enabled
+        // action per distinct effect, so row `i` of its CSR is effect
+        // `e`'s successor of state `i` at position `e`.
+        let effect_def = ProgramDef {
+            actions: effect_defs,
+            ..spec.base.clone()
+        };
+        let program = compile_def_with_processes(&effect_def)?;
+        let space = StateSpace::enumerate_with_options(&program, opts)?;
+
+        // One decode pass evaluates every guard, constraint, the goal and
+        // every trigger.
+        let compile =
+            |name: String, expr: &Expr| compile_predicate(&program, &effect_def, name, expr);
+        let mut preds: Vec<Predicate> = Vec::new();
+        for (gi, expr) in guard_exprs.iter().enumerate() {
+            preds.push(compile(format!("guard.{gi}"), expr)?);
+        }
+        for c in &spec.constraints {
+            preds.push(compile(c.name.clone(), &c.expr)?);
+        }
+        preds.push(compile("S".into(), &spec.goal)?);
+        let triggers: Vec<(usize, &Expr)> = spec
+            .constraints
+            .iter()
+            .enumerate()
+            .filter_map(|(ci, c)| Some((ci, c.trigger.as_ref()?)))
+            .collect();
+        for &(ci, t) in &triggers {
+            preds.push(compile(
+                format!("trigger.{}", spec.constraints[ci].name),
+                t,
+            )?);
+        }
+        let refs: Vec<&Predicate> = preds.iter().collect();
+        let mut bits = Bitset::for_predicates(space.index(), &refs, opts)?;
+        let trigger_bits = bits.split_off(guard_exprs.len() + k + 1);
+        let s_bits = bits.pop().expect("the goal cache");
+        let c_bits = bits.split_off(guard_exprs.len());
+        let guards = bits;
+
+        let lat = classify(&c_bits);
+        let lower: Vec<Vec<usize>> = (0..k).map(|i| lat.lower(i)).collect();
+        let not_c: Vec<Bitset> = c_bits.iter().map(Bitset::not).collect();
+
+        // Required repair region per constraint: the violation states the
+        // convergence proof needs covered (constraint false, lower layers
+        // already established), plus the merge trigger's region.
+        let mut required: Vec<Bitset> = (0..k)
+            .map(|ci| {
+                lower[ci]
+                    .iter()
+                    .fold(not_c[ci].clone(), |req, &j| req.and(&c_bits[j]))
+            })
+            .collect();
+        for (&(ci, _), t) in triggers.iter().zip(&trigger_bits) {
+            required[ci] = required[ci].or(t);
+        }
+        let not_s = s_bits.not();
+        let assuming: Vec<Bitset> = (0..lat.layers.len())
+            .map(|l| {
+                let mut a = not_s.clone();
+                for layer in &lat.layers[..l] {
+                    for &j in layer {
+                        a = a.and(&c_bits[j]);
+                    }
+                }
+                a
+            })
+            .collect();
+
+        // Post-images, read off the effect program's successor column.
+        let succ = |e: usize, i: usize| space.successor_ids(StateId::from_index(i))[e];
+        let leaves = |e: usize, pred: &Bitset| {
+            Bitset::from_fn(space.len(), opts, |i| {
+                pred.get(i) && !pred.contains(succ(e, i))
+            })
+        };
+        let effects = effect_owner
+            .iter()
+            .enumerate()
+            .map(|(e, &ci)| {
+                Ok(EffectImage {
+                    misses_own: Bitset::from_fn(space.len(), opts, |i| {
+                        !c_bits[ci].contains(succ(e, i))
+                    })?,
+                    exits_goal: leaves(e, &s_bits)?,
+                    exits_lower: lower[ci]
+                        .iter()
+                        .map(|&j| leaves(e, &c_bits[j]))
+                        .collect::<Result<_, CheckError>>()?,
+                })
+            })
+            .collect::<Result<_, CheckError>>()?;
+
+        Ok(Evaluation {
+            states: space.len(),
+            not_c,
+            lat,
+            lower,
+            required,
+            assuming,
+            guards,
+            guard_base,
+            effects,
+            effect_base,
+        })
+    }
+
+    fn guard(&self, cand: &Candidate) -> &Bitset {
+        &self.guards[self.guard_base[cand.constraint] + cand.guard_index]
+    }
+
+    fn effect(&self, cand: &Candidate) -> &EffectImage {
+        &self.effects[self.effect_base[cand.constraint] + cand.effect_index]
+    }
+
+    /// The attribution prune: `cand` survives iff it repairs its
+    /// constraint (every move lands inside it, some move starts outside
+    /// it), never exits the goal, and never exits a strictly lower
+    /// constraint.
+    fn survives(&self, cand: &Candidate) -> bool {
+        let (g, e) = (self.guard(cand), self.effect(cand));
+        let ci = cand.constraint;
+        g.and_count(&e.misses_own) == 0
+            && g.and_count(&self.not_c[ci]) > 0
+            && g.and_count(&e.exits_goal) == 0
+            && e.exits_lower.iter().all(|x| g.and_count(x) == 0)
+    }
+
+    /// The certification battery of candidate `flat[fi]`: guard coverage
+    /// of the required region, goal preservation, and lower-layer
+    /// preservation under the layer's Theorem 3 assumption. Its query
+    /// count does not depend on its verdicts, so pruned and unpruned cost
+    /// models are directly comparable.
+    fn battery(&self, fi: usize, cand: &Candidate) -> Verdict {
+        let (g, e) = (self.guard(cand), self.effect(cand));
+        let ci = cand.constraint;
+        let covered = self.required[ci].and_count(&g.not()) == 0;
+        let extras = (g.count_ones() - g.and_count(&self.required[ci])) as u64;
+        let assuming = &self.assuming[self.lat.layer_of[ci]];
+        let keeps_goal = g.and_count(&e.exits_goal) == 0;
+        let keeps_lower = e
+            .exits_lower
+            .iter()
+            .all(|x| g.and_count(&x.and(assuming)) == 0);
+        Verdict {
+            flat: fi,
+            covered,
+            certified: covered && keeps_goal && keeps_lower,
+            extras,
+            calls: 2 + self.lower[ci].len() as u64,
+        }
+    }
 }
 
 fn synth_event(phase: &str, detail: String, candidates: u64, survivors: u64) -> Event {
@@ -165,7 +390,7 @@ fn synth_event(phase: &str, detail: String, candidates: u64, survivors: u64) -> 
 /// Progress is journaled as [`Event::Synth`] records in a fixed phase
 /// order (`grammar`, `classify`, `prune`, `certify`, `select`,
 /// `verify`); the journal's *event sequence* is identical for every
-/// `threads`/`chunk` combination.
+/// thread count.
 ///
 /// # Errors
 ///
@@ -204,27 +429,10 @@ pub fn synthesize(
         });
         flat.extend(cands);
     }
-
-    // Pooled program: base + every candidate, one enumeration.
-    let mut pooled = spec.base.clone();
-    pooled.actions.extend(flat.iter().map(|c| c.action.clone()));
-    let pool_prog = compile_def_with_processes(&pooled)?;
-    let space = StateSpace::enumerate_with_options(&pool_prog, sopts)?;
-
-    let c_preds: Vec<_> = spec
-        .constraints
-        .iter()
-        .map(|c| compile_predicate(&pool_prog, &pooled, c.name.clone(), &c.expr))
-        .collect::<Result<_, _>>()?;
-    let s_pred = compile_predicate(&pool_prog, &pooled, "S", &spec.goal)?;
-    let c_bits: Vec<Bitset> = c_preds
-        .iter()
-        .map(|p| Bitset::for_predicate(&space, p, sopts))
-        .collect::<Result<_, _>>()?;
-    let s_bits = Bitset::for_predicate(&space, &s_pred, sopts)?;
+    let eval = Evaluation::new(spec, &flat, sopts)?;
+    let lat = &eval.lat;
 
     // Phase 2: classify extensions into the implication lattice.
-    let lat = classify(&c_bits);
     journal.emit_with(|| {
         let rendered: Vec<String> = lat
             .layers
@@ -244,26 +452,14 @@ pub fn synthesize(
             lat.layers.len() as u64,
         )
     });
-    let lower: Vec<Vec<usize>> = (0..k).map(|i| lat.lower(i)).collect();
 
-    // Phase 3: one attribution sweep prunes the candidate space. A
-    // candidate survives iff it repairs its constraint, never exits the
-    // goal, and never exits any strictly lower constraint.
-    let mut attr_preds = c_preds.clone();
-    attr_preds.push(s_pred.clone());
-    let s_idx = k;
-    let attr = attribute_constraints(&space, &pool_prog, &attr_preds, sopts)?;
+    // Phase 3: the attribution prune.
     let mut survivors: Vec<usize> = Vec::new();
     let mut survivors_per = vec![0usize; k];
     for (fi, cand) in flat.iter().enumerate() {
-        let aid = ActionId::from_index(base_count + fi);
-        let ci = cand.constraint;
-        let keep = attr.repairs(aid, ci)
-            && attr.preserves(aid, s_idx)
-            && lower[ci].iter().all(|&j| attr.preserves(aid, j));
-        if keep {
+        if eval.survives(cand) {
             survivors.push(fi);
-            survivors_per[ci] += 1;
+            survivors_per[cand.constraint] += 1;
         }
     }
     for ci in 0..k {
@@ -277,111 +473,16 @@ pub fn synthesize(
         });
     }
 
-    // Required repair region per constraint: the violation states the
-    // convergence proof needs covered (constraint false, lower layers
-    // already established), plus the merge trigger's region.
-    let mut required: Vec<Bitset> = Vec::with_capacity(k);
-    for (ci, c) in spec.constraints.iter().enumerate() {
-        let mut req = c_bits[ci].not();
-        for &j in &lower[ci] {
-            req = req.and(&c_bits[j]);
-        }
-        if let Some(t) = &c.trigger {
-            let tp = compile_predicate(&pool_prog, &pooled, format!("trigger.{}", c.name), t)?;
-            let tb = Bitset::for_predicate(&space, &tp, sopts)?;
-            req = req.or(&tb);
-        }
-        required.push(req);
-    }
-    // Theorem 3 assumption per layer: outside the goal, lower layers hold.
-    let not_s = s_bits.not();
-    let assuming: Vec<Bitset> = (0..lat.layers.len())
-        .map(|l| {
-            let mut a = not_s.clone();
-            for layer in &lat.layers[..l] {
-                for &j in layer {
-                    a = a.and(&c_bits[j]);
-                }
-            }
-            a
-        })
+    // Phase 4: the per-survivor certification battery.
+    let verdicts: Vec<Verdict> = survivors
+        .iter()
+        .map(|&fi| eval.battery(fi, &flat[fi]))
         .collect();
-
-    // Phase 4: per-survivor certification battery, work-stealing over
-    // fixed-size chunks. Each battery item is one full-space sweep; the
-    // battery never short-circuits, so pruned and unpruned cost models
-    // are directly comparable.
-    let workers = if opts.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        opts.threads
-    };
-    let serial = CheckOptions {
-        threads: 1,
-        ..sopts
-    };
-    let chunk = opts.chunk.max(1);
-    let tasks = survivors.len().div_ceil(chunk);
-    let battery: Result<Vec<Verdict>, CheckError> = (|| {
-        let per_task = steal_tasks(tasks, workers, |t| -> Result<Vec<Verdict>, CheckError> {
-            let lo = t * chunk;
-            let hi = (lo + chunk).min(survivors.len());
-            let mut out = Vec::with_capacity(hi - lo);
-            for &fi in &survivors[lo..hi] {
-                let cand = &flat[fi];
-                let ci = cand.constraint;
-                let aid = ActionId::from_index(base_count + fi);
-                let guard = compile_predicate(
-                    &pool_prog,
-                    &pooled,
-                    cand.action.name.clone(),
-                    &cand.action.guard,
-                )
-                .map_err(|e| CheckError::WorkerFailed {
-                    payload: format!("guard compile: {e}"),
-                })?;
-                let enabled = Bitset::for_predicate(&space, &guard, serial)?;
-                let mut calls = 1u64;
-                let covered = required[ci].and(&enabled.not()).count_ones() == 0;
-                let extras = enabled.and(&required[ci].not()).count_ones() as u64;
-                calls += 1;
-                let mut ok = preserves_given_bits(&space, aid, &s_bits, &s_bits, serial)?.is_none()
-                    && covered;
-                for &j in &lower[ci] {
-                    calls += 1;
-                    let kept = preserves_given_bits(
-                        &space,
-                        aid,
-                        &c_bits[j],
-                        &assuming[lat.layer_of[ci]],
-                        serial,
-                    )?
-                    .is_none();
-                    ok = ok && kept;
-                }
-                out.push(Verdict {
-                    flat: fi,
-                    certified: ok,
-                    extras,
-                    calls,
-                });
-            }
-            Ok(out)
-        })?;
-        let mut all = Vec::with_capacity(survivors.len());
-        for chunk_result in per_task {
-            all.extend(chunk_result?);
-        }
-        Ok(all)
-    })();
-    let verdicts = battery?;
 
     let oracle_calls: u64 = verdicts.iter().map(|v| v.calls).sum();
     let oracle_calls_unpruned: u64 = flat
         .iter()
-        .map(|c| 2 + lower[c.constraint].len() as u64)
+        .map(|c| 2 + eval.lower[c.constraint].len() as u64)
         .sum();
 
     // Rank certified candidates per constraint: fewest extras, then
@@ -497,7 +598,7 @@ pub fn synthesize(
                 chosen,
                 distance,
                 metrics: SynthMetrics {
-                    states: space.len() as u64,
+                    states: eval.states as u64,
                     candidates: flat.len() as u64,
                     survivors: survivors.len() as u64,
                     certified: verdicts.iter().filter(|v| v.certified).count() as u64,
@@ -540,6 +641,112 @@ pub fn synthesize(
 mod tests {
     use super::*;
     use crate::specs;
+
+    /// The pooled path the factored evaluation replaced, kept as an
+    /// oracle: base + every candidate enumerated as one program, one
+    /// [`attribute_constraints`] sweep for the prune, and per candidate a
+    /// compiled guard cache plus [`preserves_given_bits`] scans of the
+    /// pooled relation for the battery. Every candidate's prune decision
+    /// and battery verdict must match the factored ones.
+    #[test]
+    fn factored_evaluation_matches_the_pooled_oracle() {
+        use nonmask_checker::{attribute_constraints, preserves_given_bits};
+
+        for spec in [
+            specs::token_ring_windowed(3, 2),
+            specs::token_ring_windowed(4, 3),
+            specs::diffusing(3),
+            specs::diffusing(5),
+            specs::coloring(3, 3),
+            specs::coloring(5, 4),
+        ] {
+            let k = spec.constraints.len();
+            let opts = CheckOptions::default();
+            let flat: Vec<Candidate> = (0..k)
+                .flat_map(|ci| grammar::candidates(&spec, ci).unwrap())
+                .collect();
+            let eval = Evaluation::new(&spec, &flat, opts).unwrap();
+
+            let mut pooled = spec.base.clone();
+            pooled.actions.extend(flat.iter().map(|c| c.action.clone()));
+            let program = compile_def_with_processes(&pooled).unwrap();
+            let space = StateSpace::enumerate_with_options(&program, opts).unwrap();
+            assert_eq!(eval.states, space.len(), "{}", spec.name);
+            let cache = |name: String, expr: &Expr| {
+                let pred = compile_predicate(&program, &pooled, name, expr).unwrap();
+                Bitset::for_predicate(&space, &pred, opts).unwrap()
+            };
+            let mut preds: Vec<Predicate> = spec
+                .constraints
+                .iter()
+                .map(|c| compile_predicate(&program, &pooled, c.name.clone(), &c.expr).unwrap())
+                .collect();
+            preds.push(compile_predicate(&program, &pooled, "S", &spec.goal).unwrap());
+            let attr = attribute_constraints(&space, &program, &preds, opts).unwrap();
+            let c_bits: Vec<Bitset> = spec
+                .constraints
+                .iter()
+                .map(|c| cache(c.name.clone(), &c.expr))
+                .collect();
+            let s_bits = cache("S".into(), &spec.goal);
+            assert_eq!(eval.lat, classify(&c_bits), "{}", spec.name);
+            let required: Vec<Bitset> = spec
+                .constraints
+                .iter()
+                .enumerate()
+                .map(|(ci, c)| {
+                    let mut req = c_bits[ci].not();
+                    for &j in &eval.lat.lower(ci) {
+                        req = req.and(&c_bits[j]);
+                    }
+                    match &c.trigger {
+                        Some(t) => req.or(&cache("trigger".into(), t)),
+                        None => req,
+                    }
+                })
+                .collect();
+            assert_eq!(eval.required, required, "{}", spec.name);
+
+            let base_count = spec.base.actions.len();
+            for (fi, cand) in flat.iter().enumerate() {
+                let aid = ActionId::from_index(base_count + fi);
+                let ci = cand.constraint;
+                let lower = eval.lat.lower(ci);
+                let keep = attr.repairs(aid, ci)
+                    && attr.preserves(aid, k)
+                    && lower.iter().all(|&j| attr.preserves(aid, j));
+                let at = format!("{} {}", spec.name, cand.action.name);
+                assert_eq!(eval.survives(cand), keep, "prune differs: {at}");
+
+                let enabled = cache(cand.action.name.clone(), &cand.action.guard);
+                let covered = required[ci].and(&enabled.not()).count_ones() == 0;
+                let extras = enabled.and(&required[ci].not()).count_ones() as u64;
+                let mut certified = covered
+                    && preserves_given_bits(&space, aid, &s_bits, &s_bits, opts)
+                        .unwrap()
+                        .is_none();
+                let mut assuming = s_bits.not();
+                for layer in &eval.lat.layers[..eval.lat.layer_of[ci]] {
+                    for &j in layer {
+                        assuming = assuming.and(&c_bits[j]);
+                    }
+                }
+                for &j in &lower {
+                    certified &= preserves_given_bits(&space, aid, &c_bits[j], &assuming, opts)
+                        .unwrap()
+                        .is_none();
+                }
+                let want = Verdict {
+                    flat: fi,
+                    covered,
+                    certified,
+                    extras,
+                    calls: 2 + lower.len() as u64,
+                };
+                assert_eq!(eval.battery(fi, cand), want, "battery differs: {at}");
+            }
+        }
+    }
 
     #[test]
     fn empty_spec_is_rejected() {

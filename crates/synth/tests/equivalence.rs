@@ -15,9 +15,9 @@ use nonmask_protocols::coloring::TreeColoring;
 use nonmask_protocols::diffusing::DiffusingComputation;
 use nonmask_protocols::token_ring::windowed_design;
 use nonmask_protocols::Tree;
-use nonmask_synth::{specs, synthesize, SynthOptions, SynthResult};
+use nonmask_synth::{specs, synthesize, SynthMetrics, SynthOptions, SynthResult, SynthSpec};
 
-fn synth(spec: &nonmask_synth::SynthSpec) -> SynthResult {
+fn synth(spec: &SynthSpec) -> SynthResult {
     synthesize(spec, &SynthOptions::default(), &Journal::disabled()).expect("synthesis succeeds")
 }
 
@@ -199,16 +199,64 @@ fn coloring_synthesizes_the_recoloring_action_from_scratch() {
     }
 }
 
+/// Regenerate a golden with
+/// `nonmask-run synth --protocol P --out crates/synth/golden/P.txt`
+/// (`token_ring.txt` for `token-ring`); any grammar, prune or selection
+/// change must update it deliberately.
 #[test]
-fn token_ring_render_matches_the_committed_golden() {
-    let out = synth(&specs::token_ring_windowed(4, 3));
-    let golden = include_str!("../golden/token_ring.txt");
-    assert_eq!(
-        out.render(),
-        golden,
-        "synthesized design drifted from golden/token_ring.txt \
-         (regenerate with `cargo run -p nonmask-synth --example golden_token_ring`)"
-    );
+fn renders_match_the_committed_goldens() {
+    let cases: [(&str, SynthSpec, &str); 3] = [
+        (
+            "token_ring.txt",
+            specs::token_ring_windowed(4, 3),
+            include_str!("../golden/token_ring.txt"),
+        ),
+        (
+            "diffusing.txt",
+            specs::diffusing(7),
+            include_str!("../golden/diffusing.txt"),
+        ),
+        (
+            "coloring.txt",
+            specs::coloring(7, 3),
+            include_str!("../golden/coloring.txt"),
+        ),
+    ];
+    for (file, spec, golden) in cases {
+        assert_eq!(
+            synth(&spec).render(),
+            golden,
+            "synthesized design drifted from golden/{file}"
+        );
+    }
+}
+
+/// The work accounting of the three benchmarked instances, pinned so a
+/// change to how candidates are pruned or certified cannot silently
+/// change how many it prunes or certifies.
+#[test]
+fn metrics_of_the_benchmarked_specs_are_pinned() {
+    let pin = |states, candidates, survivors, certified, oracle_calls, unpruned| SynthMetrics {
+        states,
+        candidates,
+        survivors,
+        certified,
+        oracle_calls,
+        oracle_calls_unpruned: unpruned,
+        attribution_sweeps: 1,
+        verify_attempts: 1,
+    };
+    let cases = [
+        (
+            specs::token_ring_windowed(4, 3),
+            pin(256, 420, 37, 37, 113, 1470),
+        ),
+        (specs::diffusing(7), pin(16384, 858, 78, 42, 156, 1716)),
+        (specs::coloring(7, 3), pin(2187, 336, 96, 96, 192, 672)),
+    ];
+    for (spec, want) in cases {
+        assert_eq!(synth(&spec).metrics, want, "{}", spec.name);
+    }
 }
 
 /// The attribution prune saves at least 10x full-space certification
